@@ -37,7 +37,7 @@ class ArmSpec:
     """Architecture of one arm: input width, hidden widths, activation."""
 
     input_dim: int
-    hidden_dims: tuple = (16,)
+    hidden_dims: tuple[int, ...] = (16,)
     activation: str = "tanh"
 
     def __post_init__(self):

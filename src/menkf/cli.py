@@ -3,8 +3,9 @@
 Subcommands: simulate, train, evaluate, replicate-study, and
 config print-defaults. All take a JSON run configuration (except
 evaluate, which reads the trainer settings out of the checkpoint).
-Unknown configuration keys are rejected. The MENKF_SEED environment
-variable, when set, overrides the configured seed.
+The config's JSON shape is that of RunConfig (storage.to_dict /
+from_dict): unknown keys and mistyped values are rejected. The
+MENKF_SEED environment variable, when set, overrides the configured seed.
 
 Exit codes: 0 success; 1 usage, configuration, or input-format
 errors; 2 runtime failures (numerical errors, I/O).
@@ -16,6 +17,7 @@ Wall-clock timings go to stderr only, for that reason.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -29,9 +31,10 @@ from .arms import ArmSpec
 from .exceptions import ConfigError, DataFormatError, MenkfError
 from .numerics import RngStream
 from .simgen import SCENARIOS, Replicate, SimConfig, gen_base_probs, gen_replicates, split
-from .storage import (LoadedDataset, load_checkpoint, read_dataset_csv,
-                      read_json, save_checkpoint, write_dataset_csv,
-                      write_json, write_manifest, write_rows_csv)
+from .storage import (LoadedDataset, from_dict, load_checkpoint,
+                      read_dataset_csv, read_json, save_checkpoint, to_dict,
+                      write_dataset_csv, write_json, write_manifest,
+                      write_rows_csv)
 from .trainer import MenkfConfig, fit, make_batches, sigmoid
 from .uq import adequacy, predict
 
@@ -42,9 +45,6 @@ _RNG_TRAIN = 2
 _RNG_SPLIT = 3
 _RNG_STUDY_TRAIN = 4
 
-_SIM_KEYS = ("m", "replicates", "perturb_sd", "threshold", "p", "q",
-             "scenario", "surrogate_sd")
-
 
 @dataclass(frozen=True)
 class TrainerSettings:
@@ -52,8 +52,8 @@ class TrainerSettings:
 
     ensemble_size: int = 216
     init_var: float = 16.0
-    hidden_dims_f: tuple = (16,)
-    hidden_dims_g: tuple = (16,)
+    hidden_dims_f: tuple[int, ...] = (16,)
+    hidden_dims_g: tuple[int, ...] = (16,)
     activation: str = "tanh"
     batch_size: int = 16
     passes_over_data: int = 1
@@ -61,30 +61,44 @@ class TrainerSettings:
     variance_init: str = "gaussian"
     shuffle_batches: bool = False
 
+    def __post_init__(self):
+        self.make_config(1, 1, 0)  # the trainer's own checks, at load time
+
     def make_config(self, p: int, q: int, seed: int) -> MenkfConfig:
-        return MenkfConfig(
-            arm_f=ArmSpec(p, self.hidden_dims_f, self.activation),
-            arm_g=ArmSpec(q, self.hidden_dims_g, self.activation),
-            ensemble_size=self.ensemble_size,
-            init_var=self.init_var,
-            batch_size=self.batch_size,
-            passes_over_data=self.passes_over_data,
-            jitter_var=self.jitter_var,
-            variance_init=self.variance_init,
-            seed=seed,
-            shuffle_batches=self.shuffle_batches,
-        )
+        own = {f.name for f in dataclasses.fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(MenkfConfig)
+                  if f.name in own}
+        return MenkfConfig(arm_f=ArmSpec(p, self.hidden_dims_f, self.activation),
+                           arm_g=ArmSpec(q, self.hidden_dims_g, self.activation),
+                           seed=seed, **shared)
+
+
+@dataclass(frozen=True)
+class SplitSettings:
+    """Rows per replicate for training and for testing."""
+
+    train_n: int = 66
+    test_n: int = 8
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The whole run config; its JSON form is storage.to_dict(cfg)."""
+
     seed: int = 0
     output_dir: str = "menkf-out"
     parallel: bool = False
     sim: SimConfig = SimConfig()
     trainer: TrainerSettings = TrainerSettings()
-    train_n: int = 66
-    test_n: int = 8
+    split: SplitSettings = SplitSettings()
+
+    @property
+    def train_n(self) -> int:
+        return self.split.train_n
+
+    @property
+    def test_n(self) -> int:
+        return self.split.test_n
 
 
 # Trainer settings for the benchmark replicate studies. Arms are affine:
@@ -114,103 +128,15 @@ def study_preset(scenario: str) -> RunConfig:
                      trainer=TrainerSettings(**trainer))
 
 
-def default_run_config_dict() -> dict:
-    cfg = RunConfig()
-    return {
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "parallel": cfg.parallel,
-        "sim": {key: getattr(cfg.sim, key) for key in _SIM_KEYS},
-        "trainer": {
-            "ensemble_size": cfg.trainer.ensemble_size,
-            "init_var": cfg.trainer.init_var,
-            "hidden_dims_f": list(cfg.trainer.hidden_dims_f),
-            "hidden_dims_g": list(cfg.trainer.hidden_dims_g),
-            "activation": cfg.trainer.activation,
-            "batch_size": cfg.trainer.batch_size,
-            "passes_over_data": cfg.trainer.passes_over_data,
-            "jitter_var": cfg.trainer.jitter_var,
-            "variance_init": cfg.trainer.variance_init,
-            "shuffle_batches": cfg.trainer.shuffle_batches,
-        },
-        "split": {"train_n": cfg.train_n, "test_n": cfg.test_n},
-    }
-
-
-def _check_keys(d: dict, allowed, where: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-
-
-def run_config_from_dict(doc: dict) -> RunConfig:
-    _check_keys(doc, {"seed", "output_dir", "parallel", "sim", "trainer", "split"},
-                "run config")
-    sim_doc = doc.get("sim", {})
-    _check_keys(sim_doc, _SIM_KEYS, "sim")
-    trainer_doc = dict(doc.get("trainer", {}))
-    _check_keys(trainer_doc, {"ensemble_size", "init_var", "hidden_dims_f",
-                              "hidden_dims_g", "activation", "batch_size",
-                              "passes_over_data", "jitter_var", "variance_init",
-                              "shuffle_batches"}, "trainer")
-    split_doc = doc.get("split", {})
-    _check_keys(split_doc, {"train_n", "test_n"}, "split")
-    for key in ("hidden_dims_f", "hidden_dims_g"):
-        if key in trainer_doc:
-            trainer_doc[key] = tuple(trainer_doc[key])
-    try:
-        return RunConfig(
-            seed=int(doc.get("seed", 0)),
-            output_dir=str(doc.get("output_dir", "menkf-out")),
-            parallel=bool(doc.get("parallel", False)),
-            sim=SimConfig(**sim_doc),
-            trainer=TrainerSettings(**trainer_doc),
-            train_n=int(split_doc.get("train_n", 66)),
-            test_n=int(split_doc.get("test_n", 8)),
-        )
-    except (MenkfError, TypeError, ValueError) as err:
-        raise ConfigError(f"run config: {err}") from err
-
-
 def load_run_config(path) -> RunConfig:
-    cfg = run_config_from_dict(read_json(path))
+    cfg = from_dict(RunConfig, read_json(path))
     env_seed = os.environ.get("MENKF_SEED")
     if env_seed is not None:
         try:
-            cfg = RunConfig(**{**vars_of(cfg), "seed": int(env_seed)})
+            cfg = dataclasses.replace(cfg, seed=int(env_seed))
         except ValueError:
             raise ConfigError(f"MENKF_SEED={env_seed!r} is not an integer") from None
     return cfg
-
-
-def vars_of(cfg: RunConfig) -> dict:
-    return {"seed": cfg.seed, "output_dir": cfg.output_dir, "parallel": cfg.parallel,
-            "sim": cfg.sim, "trainer": cfg.trainer,
-            "train_n": cfg.train_n, "test_n": cfg.test_n}
-
-
-def _echo_config(cfg: RunConfig) -> dict:
-    doc = default_run_config_dict()
-    doc["seed"] = cfg.seed
-    doc["output_dir"] = cfg.output_dir
-    doc["parallel"] = cfg.parallel
-    doc["sim"] = {key: getattr(cfg.sim, key) for key in _SIM_KEYS}
-    doc["trainer"].update({
-        "ensemble_size": cfg.trainer.ensemble_size,
-        "init_var": cfg.trainer.init_var,
-        "hidden_dims_f": list(cfg.trainer.hidden_dims_f),
-        "hidden_dims_g": list(cfg.trainer.hidden_dims_g),
-        "activation": cfg.trainer.activation,
-        "batch_size": cfg.trainer.batch_size,
-        "passes_over_data": cfg.trainer.passes_over_data,
-        "jitter_var": cfg.trainer.jitter_var,
-        "variance_init": cfg.trainer.variance_init,
-        "shuffle_batches": cfg.trainer.shuffle_batches,
-    })
-    doc["split"] = {"train_n": cfg.train_n, "test_n": cfg.test_n}
-    return doc
 
 
 # ----------------------------------------------------------------- commands
@@ -333,7 +259,7 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
     failures = {str(j): err for j, _, err in results if err is not None}
     aggregates = _aggregate_study(rows)
     study = {
-        "config": _echo_config(cfg),
+        "config": to_dict(cfg),
         "aggregates": aggregates,
         "failures": failures,
         "n_replicates": len(reps),
@@ -433,9 +359,8 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         if args.command == "config":
-            doc = (default_run_config_dict() if args.study is None
-                   else _echo_config(study_preset(args.study)))
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            cfg = RunConfig() if args.study is None else study_preset(args.study)
+            print(json.dumps(to_dict(cfg), indent=2, sort_keys=True))
             return 0
         if args.command == "simulate":
             return cmd_simulate(load_run_config(args.config), args.output_dir)

@@ -66,7 +66,7 @@ def member_perturbations(rng: RngStream, n_members: int, obs_dim: int,
 
 
 def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream,
-                ridge: float = 0.0, inflation: float = 1.0) -> Ensemble:
+                ridge: float = 0.0) -> Ensemble:
     """One stochastic EnKF analysis step; returns a new ensemble.
 
     Parameters
@@ -77,8 +77,6 @@ def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream,
     obs_var : per-member observation noise variance, length N, all > 0.
     rng : stream used for the perturbed observations (one child per member).
     ridge : optional diagonal added to the solve matrix M + obs_var[i] I.
-    inflation : optional multiplicative spread inflation applied to the
-        forecast deviations before the gain is computed (1.0 = off).
     """
     h = np.asarray(obs_matrix, dtype=float)
     if h.ndim != 2 or h.shape[1] != e.dim:
@@ -92,14 +90,8 @@ def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream,
         raise DimensionError(f"obs_var length {obs_var.shape} does not match N={e.size}")
     if np.any(obs_var <= 0.0) or not np.all(np.isfinite(obs_var)):
         raise InvalidInputError("obs_var entries must be positive and finite")
-    if inflation <= 0.0:
-        raise InvalidInputError(f"inflation must be > 0, got {inflation}")
 
     members = e.members
-    mean = members.mean(axis=0)
-    if inflation != 1.0:
-        members = mean + inflation * (members - mean)
-
     predicted = members @ h.T
     centered_state = members - members.mean(axis=0)
     centered_pred = predicted - predicted.mean(axis=0)

@@ -1,9 +1,9 @@
-"""Shared numeric kernels: column-major vec/unvec, Kronecker products,
-SPD solves, empirical quantiles, and reproducible RNG streams.
+"""Shared numeric kernels: column-major vec, SPD solves, empirical
+quantiles, and reproducible RNG streams.
 
 All matrix kernels take and return float64 numpy arrays. The vec
-convention is column-major throughout the package, so the identity
-vec(A X B) == kron(B.T, A) @ vec(X) holds exactly as written.
+convention is column-major throughout the package; see
+trainer.build_vec_operator for the operator it implies.
 """
 
 from dataclasses import dataclass
@@ -65,21 +65,6 @@ def _as_matrix(a, name: str) -> np.ndarray:
 def vec(m) -> np.ndarray:
     """Stack the columns of a matrix into one vector (column-major vec)."""
     return _as_matrix(m, "m").flatten(order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of vec: rebuild a (rows, cols) matrix column by column."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise DimensionError(f"v must be 1-D, got ndim={v.ndim}")
-    if v.size != rows * cols:
-        raise DimensionError(f"cannot reshape length-{v.size} vector to ({rows}, {cols})")
-    return v.reshape((rows, cols), order="F").copy()
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""File formats: CSV datasets, JSON documents, manifests, checkpoints.
+"""File formats: CSV datasets, JSON documents, manifests, checkpoints,
+and the one JSON schema of every config dataclass.
 
 Everything written here is deterministic for identical inputs — floats
 are serialized with repr (shortest round-trip), JSON keys are sorted,
@@ -16,18 +17,26 @@ Checkpoint binary layout (little-endian):
 
 The body round-trips bitwise; loading re-hashes the embedded config and
 refuses a checkpoint whose header was edited.
+
+Config dataclasses (the run config, the trainer config, arm specs) map
+to JSON through to_dict / from_dict, driven by the dataclass fields and
+their type hints: a nested dataclass is a JSON object, a tuple a list.
+from_dict rejects unknown keys and checks every value strictly.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import struct
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .arms import ArmSpec
 from .enkf import Ensemble
 from .exceptions import ConfigError, DataFormatError, InvalidInputError
 from .simgen import Replicate
@@ -44,7 +53,7 @@ def write_json(path, obj) -> None:
 def read_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
 
 
@@ -75,12 +84,9 @@ class LoadedDataset:
                          self.target_logits, self.true_prob)
 
 
-def dataset_header(p: int, q: int, with_truth: bool = True) -> list[str]:
-    cols = [f"emb_f_{i}" for i in range(p)] + [f"emb_g_{i}" for i in range(q)]
-    cols.append("target_logit")
-    if with_truth:
-        cols += ["true_prob", "label"]
-    return cols
+def dataset_header(p: int, q: int) -> list[str]:
+    return ([f"emb_f_{i}" for i in range(p)] + [f"emb_g_{i}" for i in range(q)]
+            + ["target_logit", "true_prob", "label"])
 
 
 def write_dataset_csv(path, rep: Replicate) -> None:
@@ -115,13 +121,14 @@ def _block_columns(header: list[str], prefix: str, path) -> list[int]:
 
 def read_dataset_csv(path) -> LoadedDataset:
     """Parse a dataset CSV; errors name the row and column at fault."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise DataFormatError(f"{path}: not a readable UTF-8 CSV file ({err})") from err
+    if not table:
+        raise DataFormatError(f"{path}: empty file")
+    header, rows = table[0], table[1:]
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     f_cols = _block_columns(header, "emb_f_", path)
@@ -135,12 +142,14 @@ def read_dataset_csv(path) -> LoadedDataset:
             raise DataFormatError(f"{path}: row {row_num} has only {len(row)} fields")
         text = row[col_idx]
         try:
-            return int(text) if as_int else float(text)
+            value = int(text) if as_int else float(text)
+            if math.isfinite(value):
+                return value
         except ValueError:
-            kind = "integer" if as_int else "number"
-            raise DataFormatError(
-                f"{path}: row {row_num}, column {header[col_idx]!r}: "
-                f"{text!r} is not a {kind}") from None
+            pass
+        kind = "integer" if as_int else "finite number"
+        raise DataFormatError(f"{path}: row {row_num}, column {header[col_idx]!r}: "
+                              f"{text!r} is not a {kind}")
 
     n = len(rows)
     v_f = np.empty((n, len(f_cols)))
@@ -165,59 +174,71 @@ def read_dataset_csv(path) -> LoadedDataset:
     return LoadedDataset(v_f, v_g, target, true_prob, labels)
 
 
-# ------------------------------------------------------------- trainer cfg
+# ----------------------------------------------------------- config schema
 
-def config_to_dict(cfg: MenkfConfig) -> dict:
-    return {
-        "arm_f": {"input_dim": cfg.arm_f.input_dim,
-                  "hidden_dims": list(cfg.arm_f.hidden_dims),
-                  "activation": cfg.arm_f.activation},
-        "arm_g": {"input_dim": cfg.arm_g.input_dim,
-                  "hidden_dims": list(cfg.arm_g.hidden_dims),
-                  "activation": cfg.arm_g.activation},
-        "ensemble_size": cfg.ensemble_size,
-        "init_var": cfg.init_var,
-        "batch_size": cfg.batch_size,
-        "passes_over_data": cfg.passes_over_data,
-        "jitter_var": cfg.jitter_var,
-        "variance_init": cfg.variance_init,
-        "seed": cfg.seed,
-        "shuffle_batches": cfg.shuffle_batches,
-        "fixed_arm_logit": cfg.fixed_arm_logit,
-        "fixed_noise_var": cfg.fixed_noise_var,
-    }
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a finite number",
+             str: "a string"}
 
 
-def _check_keys(d: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(d) - allowed)
+def to_dict(cfg) -> dict:
+    """JSON form of a config dataclass, one key per field."""
+    return {f.name: _to_json(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
+
+
+def _to_json(value):
+    if dataclasses.is_dataclass(value):
+        return to_dict(value)
+    return list(value) if isinstance(value, tuple) else value
+
+
+def from_dict(cls, doc, where: str = ""):
+    """Build config dataclass cls from its JSON form; missing keys take defaults.
+
+    Unknown keys, wrong JSON types (a bool is never a number, a count must
+    be an integer; an integer is accepted for a float) and values the
+    dataclass rejects raise a ConfigError naming section.field.
+    """
+    section = where or "config"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section}: expected an object, got {json.dumps(doc)}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-
-
-def _arm_from_dict(d: dict, where: str) -> ArmSpec:
-    _check_keys(d, {"input_dim", "hidden_dims", "activation"}, where)
+        raise ConfigError(f"{section}: unknown keys {unknown}")
+    missing = [name for name, f in fields.items() if name not in doc
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{section}: missing keys {missing}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {name: _from_json(hints[name], value, f"{where}.{name}" if where else name)
+              for name, value in doc.items()}
     try:
-        return ArmSpec(input_dim=int(d["input_dim"]),
-                       hidden_dims=tuple(d.get("hidden_dims", (16,))),
-                       activation=str(d.get("activation", "tanh")))
-    except KeyError as err:
-        raise ConfigError(f"{where}: missing key {err}") from err
+        return cls(**kwargs)
+    except InvalidInputError as err:
+        raise ConfigError(f"{section}: {err}") from err
 
 
-def config_from_dict(d: dict) -> MenkfConfig:
-    allowed = {"arm_f", "arm_g", "ensemble_size", "init_var", "batch_size",
-               "passes_over_data", "jitter_var", "variance_init", "seed",
-               "shuffle_batches", "fixed_arm_logit", "fixed_noise_var"}
-    _check_keys(d, allowed, "trainer config")
-    if "arm_f" not in d or "arm_g" not in d:
-        raise ConfigError("trainer config: arm_f and arm_g are required")
-    kwargs = {key: d[key] for key in allowed - {"arm_f", "arm_g"} if key in d}
-    try:
-        return MenkfConfig(arm_f=_arm_from_dict(d["arm_f"], "arm_f"),
-                           arm_g=_arm_from_dict(d["arm_g"], "arm_g"),
-                           **kwargs)
-    except (InvalidInputError, TypeError) as err:
-        raise ConfigError(f"trainer config: {err}") from err
+def _from_json(tp, value, where: str):
+    if dataclasses.is_dataclass(tp):
+        return from_dict(tp, value, where)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {json.dumps(value)}")
+        item = typing.get_args(tp)[0]
+        return tuple(_from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if tp is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            pass
+    if type(value) is not tp or (tp is float and not math.isfinite(value)):
+        raise ConfigError(f"{where}: expected {_EXPECTED[tp]}, got {json.dumps(value)}")
+    return value
 
 
 def _config_hash(cfg_dict: dict) -> str:
@@ -228,7 +249,7 @@ def _config_hash(cfg_dict: dict) -> str:
 # -------------------------------------------------------------- checkpoint
 
 def save_checkpoint(path, ensemble: Ensemble, cfg: MenkfConfig) -> None:
-    cfg_dict = config_to_dict(cfg)
+    cfg_dict = to_dict(cfg)
     header = {
         "config": cfg_dict,
         "config_sha256": _config_hash(cfg_dict),
@@ -263,21 +284,42 @@ def load_checkpoint(path) -> tuple[Ensemble, MenkfConfig]:
         header = json.loads(raw[offset:offset + header_len].decode())
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise DataFormatError(f"{path}: corrupt header ({err})") from err
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: header is not a JSON object")
     offset += header_len
     if header.get("dtype") != "<f8":
         raise DataFormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    if header.get("config_sha256") != _config_hash(header.get("config", {})):
+    n = _header_field(header, "n_members", _is_count, "a positive integer", path)
+    d = _header_field(header, "dim", _is_count, "a positive integer", path)
+    cfg_doc = _header_field(header, "config", lambda v: isinstance(v, dict),
+                            "an object", path)
+    if header.get("config_sha256") != _config_hash(cfg_doc):
         raise DataFormatError(f"{path}: config hash mismatch")
-    n, d = int(header["n_members"]), int(header["dim"])
     expected = n * d * 8
     body = raw[offset:]
     if len(body) != expected:
         raise DataFormatError(f"{path}: body is {len(body)} bytes, expected {expected}")
-    members = np.frombuffer(body, dtype="<f8").reshape(n, d).copy()
-    cfg = config_from_dict(header["config"])
+    try:
+        cfg = from_dict(MenkfConfig, cfg_doc, "config")
+        ensemble = Ensemble(np.frombuffer(body, dtype="<f8").reshape(n, d).copy())
+    except (ConfigError, InvalidInputError) as err:
+        raise DataFormatError(f"{path}: {err}") from err
     if cfg.layout().dim != d:
         raise DataFormatError(f"{path}: config layout dim {cfg.layout().dim} != stored dim {d}")
-    return Ensemble(members), cfg
+    return ensemble, cfg
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value > 0
+
+
+def _header_field(header: dict, key: str, valid, expected: str, path):
+    if key not in header:
+        raise DataFormatError(f"{path}: header field {key!r} is missing")
+    if not valid(header[key]):
+        raise DataFormatError(f"{path}: header field {key!r} must be {expected}, "
+                              f"got {json.dumps(header[key])}")
+    return header[key]
 
 
 # --------------------------------------------------------------- manifests

@@ -27,7 +27,7 @@ from .enkf import Ensemble, enkf_update
 from .exceptions import (DimensionError, InvalidInputError, NotSpdError,
                          NumericError)
 from .kalman import GaussianBelief, LinearStateSpace
-from .numerics import RngStream, kron
+from .numerics import RngStream
 
 _VARIANCE_INITS = ("gaussian", "gamma_shape_scale")
 _GAMMA_SHAPE = 100.0
@@ -127,45 +127,6 @@ class Batch:
     @property
     def size(self) -> int:
         return self.y.shape[0]
-
-
-class AugmentedMember:
-    """Read-only view of one member row under a layout."""
-
-    def __init__(self, vector: np.ndarray, layout: StateLayout):
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (layout.dim,):
-            raise DimensionError(f"member length {vector.shape} does not match layout dim {layout.dim}")
-        self._v = vector
-        self._layout = layout
-
-    @property
-    def w_f(self) -> np.ndarray:
-        return self._v[self._layout.wf_slice]
-
-    @property
-    def w_g(self) -> np.ndarray:
-        return self._v[self._layout.wg_slice]
-
-    @property
-    def a(self) -> float:
-        return float(self._v[self._layout.a_index])
-
-    @property
-    def b(self) -> float:
-        return float(self._v[self._layout.b_index])
-
-    @property
-    def weight_g(self) -> float:
-        return float(sigmoid(self.a))
-
-    @property
-    def weight_f(self) -> float:
-        return 1.0 - self.weight_g
-
-    @property
-    def noise_var(self) -> float:
-        return float(softplus(self.b))
 
 
 def make_batches(v_f, v_g, y, batch_size: int, shuffle: bool = False,
@@ -360,40 +321,11 @@ def build_vec_operator(obs_matrix, column_weights) -> np.ndarray:
     g = np.asarray(column_weights, dtype=float)
     if g.ndim == 1:
         g = g[:, None]
-    if g.shape[1] != 1:
+    if h.ndim != 2:
+        raise DimensionError(f"obs_matrix must be 2-D, got ndim={h.ndim}")
+    if g.ndim != 2 or g.shape[1] != 1:
         raise DimensionError(f"column_weights must be a single column, got {g.shape}")
-    return kron(g.T, h)
-
-
-def train_step_explicit(e: Ensemble, batch: Batch, cfg: MenkfConfig,
-                        layout: StateLayout, rng: RngStream) -> Ensemble:
-    """train_step with the lifted operator materialized.
-
-    Each member is expanded to the vec of the full two-column state
-    matrix, prediction rows included, and updated with the explicit
-    operator kron([1, 1], [I_m, 0]). Kept as the slow reference path for
-    equivalence tests; matches train_step to floating-point noise when
-    given the same rng.
-    """
-    members = _jittered(e.members, cfg, layout, rng.child(0))
-    _apply_fixed(members, cfg, layout)
-    weight_g = sigmoid(members[:, layout.a_index])[:, None]
-    out_f = (1.0 - weight_g) * forward_batch(cfg.arm_f, members[:, layout.wf_slice], batch.v_f)
-    out_g = weight_g * forward_batch(cfg.arm_g, members[:, layout.wg_slice], batch.v_g)
-
-    m = batch.size
-    ch = layout.column_height
-    joint = np.hstack([out_f, members[:, :ch], out_g, members[:, ch:]])
-    row_selector = np.hstack([np.eye(m), np.zeros((m, ch))])
-    operator = build_vec_operator(row_selector, np.ones((2, 1)))
-
-    obs_var = softplus(members[:, layout.b_index])
-    updated = enkf_update(Ensemble(joint), batch.y, operator, obs_var, rng.child(1))
-    new_members = np.hstack([updated.members[:, m:m + ch],
-                             updated.members[:, 2 * m + ch:]])
-    layout.apply_structural_zeros(new_members)
-    _apply_fixed(new_members, cfg, layout)
-    return Ensemble(new_members)
+    return np.kron(g.T, h)
 
 
 def _linear_coefficients(spec: ArmSpec, v: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ observation noise is added at prediction time — the spread is parameter
 uncertainty only.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,6 @@ from .enkf import Ensemble
 from .exceptions import DimensionError, InvalidInputError
 from .numerics import empirical_quantile
 from .trainer import arm_averaged_logits, sigmoid
-
-_POINT_ESTIMATES = ("mean", "median")
 
 
 @dataclass
@@ -35,20 +34,18 @@ class PredictionSummary:
 
 
 def predict(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
-            spec_g: ArmSpec, point: str = "mean") -> list[PredictionSummary]:
-    """Per-row predictive summaries from the ensemble, one per input row."""
-    if point not in _POINT_ESTIMATES:
-        raise InvalidInputError(f"point must be one of {_POINT_ESTIMATES}, got {point!r}")
+            spec_g: ArmSpec) -> list[PredictionSummary]:
+    """Per-row predictive summaries from the ensemble, one per input row;
+    the point estimate is the member mean."""
     probs = sigmoid(arm_averaged_logits(e.members, np.asarray(v_f, dtype=float),
                                         np.asarray(v_g, dtype=float),
                                         layout, spec_f, spec_g))
     summaries = []
     for j in range(probs.shape[1]):
         draws = probs[:, j].copy()
-        center = float(np.mean(draws)) if point == "mean" else float(np.median(draws))
         summaries.append(PredictionSummary(
             draws=draws,
-            point=center,
+            point=float(np.mean(draws)),
             lo=empirical_quantile(draws, 0.025),
             hi=empirical_quantile(draws, 0.975),
         ))
@@ -82,14 +79,7 @@ class AdequacyReport:
     n_test: int
 
     def to_dict(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "avg_width": self.avg_width,
-            "mae": self.mae,
-            "mean_arm_weight": self.mean_arm_weight,
-            "arm_f_weight": 1.0 - self.mean_arm_weight,
-            "n_test": self.n_test,
-        }
+        return {**dataclasses.asdict(self), "arm_f_weight": 1.0 - self.mean_arm_weight}
 
 
 def adequacy(summaries: list[PredictionSummary], truth, e: Ensemble,

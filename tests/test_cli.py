@@ -1,14 +1,14 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from menkf.cli import (RunConfig, TrainerSettings, _aggregate_study,
-                       default_run_config_dict, load_run_config, main,
-                       run_config_from_dict, study_preset)
+from menkf.cli import (RunConfig, _aggregate_study, load_run_config, main,
+                       study_preset)
 from menkf.exceptions import ConfigError
-from menkf.storage import read_json, verify_manifest
+from menkf.storage import from_dict, read_json, to_dict, verify_manifest
 
 TINY = {
     "seed": 0,
@@ -27,28 +27,49 @@ def write_config(tmp_path, doc=None, name="config.json"):
 
 class TestRunConfigParsing:
     def test_defaults_round_trip(self):
-        doc = default_run_config_dict()
-        cfg = run_config_from_dict(doc)
+        doc = json.loads(json.dumps(to_dict(RunConfig())))
+        cfg = from_dict(RunConfig, doc)
         assert cfg == RunConfig()
 
     def test_nested_values_applied(self):
-        cfg = run_config_from_dict(TINY)
+        cfg = from_dict(RunConfig, TINY)
         assert cfg.sim.m == 12
         assert cfg.trainer.hidden_dims_f == ()
         assert cfg.trainer.ensemble_size == 8
         assert cfg.train_n == 9 and cfg.test_n == 3
 
-    def test_unknown_keys_rejected_at_each_level(self):
-        for doc in ({"learning_rate": 1.0},
-                    {"sim": {"rows": 5}},
-                    {"trainer": {"momentum": 0.9}},
-                    {"split": {"valid_n": 3}}):
-            with pytest.raises(ConfigError):
-                run_config_from_dict(doc)
+    def test_unknown_keys_rejected_at_each_level(self, tmp_path):
+        for doc, key in (({"learning_rate": 1.0}, "learning_rate"),
+                         ({"sim": {"rows": 5}}, "rows"),
+                         ({"trainer": {"momentum": 0.9}}, "momentum"),
+                         ({"split": {"valid_n": 3}}, "valid_n")):
+            with pytest.raises(ConfigError, match=key):
+                from_dict(RunConfig, doc)
+            assert main(["simulate", "--config", write_config(tmp_path, doc),
+                         "--output-dir", str(tmp_path / "out")]) == 1
 
-    def test_invalid_nested_value(self):
-        with pytest.raises(ConfigError):
-            run_config_from_dict({"sim": {"m": 1}})
+    def test_invalid_nested_value(self, tmp_path):
+        # wrong JSON types name section.field; none may reach the program
+        for doc, field in (({"sim": {"m": 1}}, "sim"),
+                           ({"sim": {"m": 20.5}}, "sim.m"),
+                           ({"parallel": "false"}, "parallel"),
+                           ({"trainer": {"ensemble_size": True}}, "trainer.ensemble_size"),
+                           ({"trainer": {"ensemble_size": 1}}, "trainer"),
+                           ({"trainer": {"hidden_dims_f": [16.7]}},
+                            "trainer.hidden_dims_f[0]"),
+                           ({"seed": "3"}, "seed"),
+                           ({"trainer": {"init_var": 10**400}}, "trainer.init_var"),
+                           ({"split": [9, 3]}, "split")):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+                from_dict(RunConfig, doc)
+            assert main(["simulate", "--config", write_config(tmp_path, doc),
+                         "--output-dir", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_accepted_for_float(self):
+        cfg = from_dict(RunConfig, {"trainer": {"init_var": 16}})
+        assert cfg.trainer.init_var == 16.0
+        assert type(cfg.trainer.init_var) is float
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
@@ -88,7 +109,7 @@ class TestExitCodes:
     def test_config_print_defaults(self, capsys):
         assert main(["config", "print-defaults"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc == default_run_config_dict()
+        assert doc == to_dict(RunConfig())
 
     def test_config_print_study(self, capsys):
         assert main(["config", "print-defaults", "--study", "misspecified"]) == 0
@@ -104,6 +125,8 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 1
+        path.write_bytes(b'\xff\xfe{"seed": 0}')  # not UTF-8
+        assert main(["simulate", "--config", str(path)]) == 1
 
     def test_unknown_config_key(self, tmp_path):
         path = write_config(tmp_path, {"optimizer": "adam"})
@@ -118,6 +141,30 @@ class TestExitCodes:
         config = write_config(tmp_path)
         assert main(["train", "--config", config, "--dataset", str(data),
                      "--output-dir", str(tmp_path / "out")]) == 1
+
+    def test_nonfinite_dataset_cell(self, tmp_path, capsys):
+        # nan in a feature cell stops train, inf in one stops evaluate
+        config = write_config(tmp_path)
+        sim_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", config, "--output-dir", str(sim_dir)]) == 0
+        good = sim_dir / "replicates" / "rep_000.csv"
+        assert main(["train", "--config", config, "--dataset", str(good),
+                     "--output-dir", str(tmp_path / "fit")]) == 0
+        lines = good.read_text().splitlines()
+        header = lines[0].split(",")
+        for column, cell, command in (("emb_f_0", "nan", "train"),
+                                      ("emb_g_1", "inf", "evaluate")):
+            fields = lines[2].split(",")
+            fields[header.index(column)] = cell
+            bad = tmp_path / f"{cell}.csv"
+            bad.write_text("\n".join([lines[0], lines[1], ",".join(fields)]) + "\n")
+            capsys.readouterr()
+            args = (["train", "--config", config] if command == "train" else
+                    ["evaluate", "--checkpoint", str(tmp_path / "fit" / "checkpoint.menkf")])
+            assert main(args + ["--dataset", str(bad),
+                                "--output-dir", str(tmp_path / command)]) == 1
+            err = capsys.readouterr().err
+            assert f"row 3, column '{column}': '{cell}' is not a finite number" in err
 
     def test_study_with_failing_replicates(self, tmp_path, capsys):
         doc = dict(TINY, split={"train_n": 20, "test_n": 8})  # exceeds m=12

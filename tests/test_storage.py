@@ -1,13 +1,21 @@
+import dataclasses
+import json
+import struct
+import typing
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menkf.arms import ArmSpec
+from menkf.cli import RunConfig, main
 from menkf.enkf import Ensemble
 from menkf.exceptions import ConfigError, DataFormatError
 from menkf.simgen import Replicate
-from menkf.storage import (LoadedDataset, config_from_dict, config_to_dict,
-                           dataset_header, load_checkpoint, read_dataset_csv,
-                           save_checkpoint, sha256_file, verify_manifest,
+from menkf.storage import (LoadedDataset, dataset_header, from_dict,
+                           load_checkpoint, read_dataset_csv, save_checkpoint,
+                           sha256_file, to_dict, verify_manifest,
                            write_dataset_csv, write_json, write_manifest,
                            write_rows_csv)
 from menkf.trainer import MenkfConfig
@@ -80,6 +88,12 @@ class TestDatasetCsvErrors:
         with pytest.raises(DataFormatError, match="empty file"):
             read_dataset_csv(self.write(tmp_path, ""))
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("emb_f_0,emb_g_0,target_logit\n\u00e9,1.0,0.5\n".encode("latin-1"))
+        with pytest.raises(DataFormatError, match="not a readable UTF-8 CSV"):
+            read_dataset_csv(path)
+
     def test_header_only(self, tmp_path):
         with pytest.raises(DataFormatError, match="no data rows"):
             read_dataset_csv(self.write(tmp_path, "emb_f_0,emb_g_0,target_logit\n"))
@@ -98,11 +112,13 @@ class TestDatasetCsvErrors:
             read_dataset_csv(self.write(tmp_path, text))
 
     def test_bad_number_names_row_and_column(self, tmp_path):
-        text = ("emb_f_0,emb_g_0,target_logit\n"
-                "0.5,1.0,-0.2\n"
-                "0.1,oops,0.3\n")
-        with pytest.raises(DataFormatError, match=r"row 3, column 'emb_g_0'"):
-            read_dataset_csv(self.write(tmp_path, text))
+        for cell in ("oops", "nan", "inf", "-Infinity"):
+            text = ("emb_f_0,emb_g_0,target_logit\n"
+                    "0.5,1.0,-0.2\n"
+                    f"0.1,{cell},0.3\n")
+            with pytest.raises(DataFormatError,
+                               match=rf"row 3, column 'emb_g_0': '{cell}' is not a finite"):
+                read_dataset_csv(self.write(tmp_path, text))
 
     def test_bad_label_names_column(self, tmp_path):
         text = ("emb_f_0,emb_g_0,target_logit,true_prob,label\n"
@@ -120,29 +136,101 @@ class TestConfigDict:
     def test_round_trip(self):
         cfg = sample_config(fixed_arm_logit=0.25, jitter_var=0.01,
                             variance_init="gamma_shape_scale")
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert from_dict(MenkfConfig, json.loads(json.dumps(to_dict(cfg)))) == cfg
 
     def test_unknown_top_level_key(self):
-        doc = config_to_dict(sample_config())
+        doc = to_dict(sample_config())
         doc["learning_rate"] = 0.1
         with pytest.raises(ConfigError, match="learning_rate"):
-            config_from_dict(doc)
+            from_dict(MenkfConfig, doc)
 
     def test_unknown_arm_key(self):
-        doc = config_to_dict(sample_config())
+        doc = to_dict(sample_config())
         doc["arm_f"]["dropout"] = 0.5
-        with pytest.raises(ConfigError, match="dropout"):
-            config_from_dict(doc)
+        with pytest.raises(ConfigError, match=r"^arm_f: unknown keys \['dropout'\]"):
+            from_dict(MenkfConfig, doc)
 
     def test_missing_arms(self):
-        with pytest.raises(ConfigError, match="arm_f and arm_g"):
-            config_from_dict({"ensemble_size": 10})
+        with pytest.raises(ConfigError, match=r"missing keys \['arm_f', 'arm_g'\]"):
+            from_dict(MenkfConfig, {"ensemble_size": 10})
 
     def test_invalid_value_becomes_config_error(self):
-        doc = config_to_dict(sample_config())
+        doc = to_dict(sample_config())
         doc["ensemble_size"] = 1
         with pytest.raises(ConfigError):
-            config_from_dict(doc)
+            from_dict(MenkfConfig, doc)
+
+    def test_optional_float_accepts_null_and_integers(self):
+        doc = to_dict(sample_config())
+        assert doc["fixed_noise_var"] is None
+        doc["fixed_noise_var"] = 2
+        cfg = from_dict(MenkfConfig, doc)
+        assert cfg.fixed_noise_var == 2.0 and type(cfg.fixed_noise_var) is float
+
+
+# ------------------------------------------------- schema properties
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([0, 1, 2, 16, 10**400, 0.5, 16.0, [], [3], [2, 2], "tanh",
+                       "identity", "gamma_shape_scale", "misspecified"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+def key_paths(doc, prefix=()):
+    """Every key path into a nested JSON object, sections included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def assign(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def assert_declared_types(cfg):
+    hints = typing.get_type_hints(type(cfg))
+    for f in dataclasses.fields(cfg):
+        value, declared = getattr(cfg, f.name), hints[f.name]
+        if dataclasses.is_dataclass(declared):
+            assert type(value) is declared, f.name
+            assert_declared_types(value)
+        elif typing.get_origin(declared) is tuple:
+            assert type(value) is tuple and all(type(v) is int for v in value), f.name
+        else:
+            allowed = typing.get_args(declared) or (declared,)
+            assert type(value) in allowed, f"{f.name}: {value!r} is not {declared}"
+
+
+def check_any_value(cls, doc, path, value):
+    try:
+        cfg = from_dict(cls, assign(doc, path, value))
+    except ConfigError:
+        return
+    assert_declared_types(cfg)
+
+
+class TestSchemaProperties:
+    RUN_DOC = to_dict(RunConfig())  # what `config print-defaults` prints
+    CKPT_DOC = to_dict(sample_config(fixed_arm_logit=0.25))
+
+    @given(st.sampled_from(sorted(key_paths(RUN_DOC))), JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_in_any_run_config_field(self, path, value):
+        check_any_value(RunConfig, self.RUN_DOC, path, value)
+
+    @given(st.sampled_from(sorted(key_paths(CKPT_DOC))), JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_in_any_checkpoint_config_field(self, path, value):
+        check_any_value(MenkfConfig, self.CKPT_DOC, path, value)
 
 
 class TestCheckpoint:
@@ -198,6 +286,34 @@ class TestCheckpoint:
         path.write_bytes(raw.replace(b'"seed": 7', b'"seed": 9', 1))
         with pytest.raises(DataFormatError, match="hash mismatch"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_members", None, "'n_members' is missing"),
+        ("n_members", "x", "'n_members' must be a positive integer"),
+        ("n_members", True, "'n_members' must be a positive integer"),
+        ("dim", None, "'dim' is missing"),
+        ("dim", 70.0, "'dim' must be a positive integer"),
+        ("config", None, "'config' is missing"),
+        ("config", [1], "'config' must be an object"),
+    ])
+    def test_malformed_header_field(self, tmp_path, field, value, message):
+        path, *_ = self.roundtrip(tmp_path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", raw, 12)
+        header = json.loads(raw[20:20 + header_len])
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        edited = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(edited)) + edited
+                         + raw[20 + header_len:])
+        with pytest.raises(DataFormatError, match=message):
+            load_checkpoint(path)
+        dataset = tmp_path / "data.csv"
+        write_dataset_csv(dataset, sample_replicate())
+        assert main(["evaluate", "--checkpoint", str(path), "--dataset", str(dataset),
+                     "--output-dir", str(tmp_path / "eval")]) == 1
 
     def test_not_a_file_shape(self, tmp_path):
         path = tmp_path / "junk.menkf"

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from menkf.arms import ArmSpec, StateLayout, forward_batch
-from menkf.enkf import Ensemble
+from menkf.enkf import Ensemble, enkf_update
 from menkf.exceptions import DimensionError, InvalidInputError
 from menkf.kalman import kf_forecast, kf_update
 from menkf.numerics import RngStream, vec
-from menkf.trainer import (AugmentedMember, Batch, MenkfConfig,
+from menkf.trainer import (Batch, MenkfConfig, _apply_fixed, _jittered,
                            arm_averaged_logits, build_vec_operator, fit,
                            init_ensemble, inv_softplus, linear_reference_system,
-                           make_batches, measure, sigmoid, softplus, train_step,
-                           train_step_explicit)
+                           make_batches, measure, sigmoid, softplus, train_step)
 
 
 def linear_config(p=2, q=2, **kw):
@@ -28,6 +27,36 @@ def toy_batch(rows=8, p=2, q=2, seed=0):
     gen = np.random.default_rng(seed)
     return Batch(gen.standard_normal((rows, p)), gen.standard_normal((rows, q)),
                  gen.standard_normal(rows))
+
+
+def train_step_explicit(e: Ensemble, batch: Batch, cfg: MenkfConfig,
+                        layout: StateLayout, rng: RngStream) -> Ensemble:
+    """train_step with the lifted operator materialized: the slow oracle.
+
+    Each member is expanded to the vec of the full two-column state
+    matrix, prediction rows included, and updated with the explicit
+    operator kron([1, 1], [I_m, 0]). Matches train_step to floating-point
+    noise when given the same rng.
+    """
+    members = _jittered(e.members, cfg, layout, rng.child(0))
+    _apply_fixed(members, cfg, layout)
+    weight_g = sigmoid(members[:, layout.a_index])[:, None]
+    out_f = (1.0 - weight_g) * forward_batch(cfg.arm_f, members[:, layout.wf_slice], batch.v_f)
+    out_g = weight_g * forward_batch(cfg.arm_g, members[:, layout.wg_slice], batch.v_g)
+
+    m = batch.size
+    ch = layout.column_height
+    joint = np.hstack([out_f, members[:, :ch], out_g, members[:, ch:]])
+    row_selector = np.hstack([np.eye(m), np.zeros((m, ch))])
+    operator = build_vec_operator(row_selector, np.ones((2, 1)))
+
+    obs_var = softplus(members[:, layout.b_index])
+    updated = enkf_update(Ensemble(joint), batch.y, operator, obs_var, rng.child(1))
+    new_members = np.hstack([updated.members[:, m:m + ch],
+                             updated.members[:, 2 * m + ch:]])
+    layout.apply_structural_zeros(new_members)
+    _apply_fixed(new_members, cfg, layout)
+    return Ensemble(new_members)
 
 
 class TestLinkFunctions:
@@ -233,23 +262,6 @@ class TestMakeBatches:
             Batch(np.ones((0, 2)), np.ones((0, 2)), np.ones(0))
         with pytest.raises(InvalidInputError):
             Batch(np.array([[np.inf, 0.0]]), np.ones((1, 2)), np.ones(1))
-
-
-class TestAugmentedMember:
-    def test_views_and_derived_quantities(self):
-        layout = StateLayout(2, 2)
-        v = member_with(layout, [1.0, 2.0], [3.0, 4.0], a=0.0, b=0.0)
-        m = AugmentedMember(v, layout)
-        np.testing.assert_array_equal(m.w_f, [1.0, 2.0])
-        np.testing.assert_array_equal(m.w_g, [3.0, 4.0])
-        assert m.a == 0.0 and m.b == 0.0
-        assert m.weight_g == 0.5
-        assert m.weight_f + m.weight_g == pytest.approx(1.0)
-        assert m.noise_var == pytest.approx(math.log(2.0))
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(DimensionError):
-            AugmentedMember(np.zeros(5), StateLayout(2, 2))
 
 
 class TestTrainStep:

@@ -42,16 +42,6 @@ class TestPredict:
         assert s.hi == pytest.approx(0.86582323, abs=1e-8)
         assert s.point == pytest.approx(0.5, abs=1e-12)
 
-    def test_median_point(self):
-        e = constant_ensemble([-2.0, -1.0, 0.0, 1.0, 2.0])
-        (s,) = predict(e, ROW, ROW, LAYOUT, SPEC, SPEC, point="median")
-        assert s.point == pytest.approx(0.5, abs=1e-12)
-
-    def test_unknown_point_estimate(self):
-        with pytest.raises(InvalidInputError):
-            predict(constant_ensemble([0.0, 1.0]), ROW, ROW, LAYOUT, SPEC, SPEC,
-                    point="mode")
-
     def test_one_summary_per_row(self):
         gen = np.random.default_rng(0)
         e = constant_ensemble(gen.standard_normal(20))
