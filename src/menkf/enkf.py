@@ -7,7 +7,10 @@ with that member's own noise variance, so the gain is member-dependent:
     K_i = L (M + obs_var[i] I)^-1,  L = S H',  M = H S H'
 
 L and M are shared across members and are assembled from centered
-products without ever forming the full d x d sample covariance.
+products without ever forming the full d x d sample covariance. One
+eigendecomposition M = U diag(lam) U' then gives every member's solve at
+once, (M + v I)^-1 = U diag(1 / (lam + v)) U', and the perturbations of
+all members are one (N, m) block from a single stream per step.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, InvalidInputError
-from .numerics import RngStream, solve_spd, symmetrize
+from .numerics import RngStream, symmetrize
 
 
 @dataclass
@@ -54,19 +57,13 @@ def member_perturbations(rng: RngStream, n_members: int, obs_dim: int,
                          obs_var: np.ndarray) -> np.ndarray:
     """Observation perturbations, one row per member.
 
-    Row i is drawn from the i-th child stream of rng with covariance
-    obs_var[i] * I, which keeps the draw independent of execution order
-    when members are processed in parallel.
+    One (n_members, obs_dim) standard normal block from the start of rng,
+    with row i scaled to covariance obs_var[i] * I.
     """
-    out = np.empty((n_members, obs_dim))
-    scale = np.sqrt(obs_var)
-    for i in range(n_members):
-        out[i] = rng.child(i).generator().standard_normal(obs_dim) * scale[i]
-    return out
+    return rng.generator().standard_normal((n_members, obs_dim)) * np.sqrt(obs_var)[:, None]
 
 
-def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream,
-                ridge: float = 0.0) -> Ensemble:
+def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream) -> Ensemble:
     """One stochastic EnKF analysis step; returns a new ensemble.
 
     Parameters
@@ -75,8 +72,10 @@ def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream,
     y : observation vector, length m.
     obs_matrix : linear observation operator H, shape (m, d).
     obs_var : per-member observation noise variance, length N, all > 0.
-    rng : stream used for the perturbed observations (one child per member).
-    ridge : optional diagonal added to the solve matrix M + obs_var[i] I.
+    rng : stream used for the perturbed observations (one block per call).
+
+    Raises numpy.linalg.LinAlgError if M is not finite or its
+    eigendecomposition fails.
     """
     h = np.asarray(obs_matrix, dtype=float)
     if h.ndim != 2 or h.shape[1] != e.dim:
@@ -102,10 +101,13 @@ def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream,
     perturbed = member_perturbations(rng, e.size, m, obs_var)
     residual = y[None, :] + perturbed - predicted
 
-    shifts = np.empty_like(members)
-    for value in np.unique(obs_var):
-        idx = np.flatnonzero(obs_var == value)
-        solve_matrix = obs_block + (value + ridge) * np.eye(m)
-        solved = solve_spd(solve_matrix, residual[idx].T)
-        shifts[idx] = (cross @ solved).T
+    if not np.all(np.isfinite(obs_block)):
+        raise np.linalg.LinAlgError("observation block M is not finite")
+    eigvals, eigvecs = np.linalg.eigh(obs_block)
+    # M is a Gram matrix: eigenvalues at rounding level (negative ones
+    # included) span its null space, where L vanishes as well, so those
+    # directions are dropped rather than divided by obs_var[i] alone.
+    keep = eigvals > m * np.finfo(float).eps * max(eigvals[-1], 0.0)
+    lam, basis = eigvals[keep], eigvecs[:, keep]
+    shifts = ((residual @ basis) / (lam + obs_var[:, None])) @ (cross @ basis).T
     return Ensemble(members + shifts)

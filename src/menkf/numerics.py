@@ -72,11 +72,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def solve_spd(a, b, ridge: float = 0.0) -> np.ndarray:
+def solve_spd(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
-    ridge > 0 adds ridge * I to A before factoring. Raises NotSpdError
-    when the factorization fails.
+    Raises NotSpdError when the factorization fails.
     """
     a = _as_matrix(a, "a")
     n = a.shape[0]
@@ -85,8 +84,6 @@ def solve_spd(a, b, ridge: float = 0.0) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != n:
         raise DimensionError(f"b leading dimension {b.shape[0]} != {n}")
-    if ridge:
-        a = a + ridge * np.eye(n)
     try:
         factor = scipy.linalg.cho_factor(a, lower=True)
     except np.linalg.LinAlgError as err:

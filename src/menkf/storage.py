@@ -44,6 +44,7 @@ from .trainer import MenkfConfig
 
 _MAGIC = b"MENKFCKP"
 _VERSION = 1
+_INT64 = np.iinfo(np.int64)
 
 
 def write_json(path, obj) -> None:
@@ -76,12 +77,6 @@ class LoadedDataset:
     @property
     def size(self) -> int:
         return self.target_logits.shape[0]
-
-    def to_replicate(self) -> Replicate:
-        if self.true_prob is None or self.labels is None:
-            raise DataFormatError("dataset lacks true_prob/label columns")
-        return Replicate(self.v_f, self.v_g, self.labels,
-                         self.target_logits, self.true_prob)
 
 
 def dataset_header(p: int, q: int) -> list[str]:
@@ -143,13 +138,13 @@ def read_dataset_csv(path) -> LoadedDataset:
         text = row[col_idx]
         try:
             value = int(text) if as_int else float(text)
-            if math.isfinite(value):
+            if (_INT64.min <= value <= _INT64.max) if as_int else math.isfinite(value):
                 return value
         except ValueError:
             pass
-        kind = "integer" if as_int else "finite number"
+        kind = "an int64 integer" if as_int else "a finite number"
         raise DataFormatError(f"{path}: row {row_num}, column {header[col_idx]!r}: "
-                              f"{text!r} is not a {kind}")
+                              f"{text!r} is not {kind}")
 
     n = len(rows)
     v_f = np.empty((n, len(f_cols)))

@@ -24,8 +24,7 @@ import scipy.special
 
 from .arms import ArmSpec, StateLayout, forward_batch, param_count
 from .enkf import Ensemble, enkf_update
-from .exceptions import (DimensionError, InvalidInputError, NotSpdError,
-                         NumericError)
+from .exceptions import DimensionError, InvalidInputError, NumericError
 from .kalman import GaussianBelief, LinearStateSpace
 from .numerics import RngStream
 
@@ -129,23 +128,13 @@ class Batch:
         return self.y.shape[0]
 
 
-def make_batches(v_f, v_g, y, batch_size: int, shuffle: bool = False,
-                 rng: RngStream | None = None) -> list[Batch]:
-    """Chunk a dataset into contiguous batches; the last one may be short.
-
-    shuffle permutes the rows once before chunking and needs an rng.
-    """
+def make_batches(v_f, v_g, y, batch_size: int) -> list[Batch]:
+    """Chunk a dataset into contiguous batches; the last one may be short."""
     v_f = np.asarray(v_f, dtype=float)
     v_g = np.asarray(v_g, dtype=float)
     y = np.asarray(y, dtype=float)
-    rows = y.shape[0]
-    if shuffle:
-        if rng is None:
-            raise InvalidInputError("shuffle=True requires an rng")
-        order = rng.generator().permutation(rows)
-        v_f, v_g, y = v_f[order], v_g[order], y[order]
     return [Batch(v_f[i:i + batch_size], v_g[i:i + batch_size], y[i:i + batch_size])
-            for i in range(0, rows, batch_size)]
+            for i in range(0, y.shape[0], batch_size)]
 
 
 def _apply_fixed(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout) -> None:
@@ -199,7 +188,8 @@ def _joint_update(members: np.ndarray, predictions: np.ndarray, y: np.ndarray,
     Appends each member's predictions as extra coordinates and updates
     with the operator that reads exactly those coordinates; the selected
     gain block is then Cov(state, pred) (Cov(pred, pred) + var I)^-1.
-    Retries once with a relative ridge if the solve fails.
+    Every var > 0 keeps the solve well-posed, so there is no fallback: a
+    failed eigendecomposition is a NumericError naming the batch.
     """
     d = members.shape[1]
     m = predictions.shape[1]
@@ -208,15 +198,10 @@ def _joint_update(members: np.ndarray, predictions: np.ndarray, y: np.ndarray,
     selector[:, d:] = np.eye(m)
     try:
         updated = enkf_update(joint, y, selector, obs_var, rng)
-    except NotSpdError:
-        ridge = 1e-8 * float(np.var(predictions, axis=0).sum()) / m
-        try:
-            updated = enkf_update(joint, y, selector, obs_var, rng, ridge=ridge)
-        except NotSpdError as err:
-            where = "" if batch_index is None else f" at batch {batch_index}"
-            raise NumericError(
-                f"observation covariance block failed to factor{where}, "
-                f"even with ridge {ridge:g}") from err
+    except np.linalg.LinAlgError as err:
+        where = "" if batch_index is None else f" at batch {batch_index}"
+        raise NumericError(
+            f"observation covariance block failed to decompose{where}") from err
     return updated.members[:, :d]
 
 
@@ -236,7 +221,7 @@ def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
     """One forecast-and-analysis step on one batch; returns a new ensemble.
 
     rng children: 0 drives the (optional) transition jitter, 1 drives the
-    per-member observation perturbations.
+    observation perturbations, drawn as one (N, m) block.
     """
     if batch.v_f.shape[1] != cfg.arm_f.input_dim or batch.v_g.shape[1] != cfg.arm_g.input_dim:
         raise DimensionError("batch feature widths do not match the arm specs")

@@ -166,6 +166,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"row 3, column '{column}': '{cell}' is not a finite number" in err
 
+    def test_label_outside_int64(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        data = tmp_path / "big_label.csv"
+        data.write_text("emb_f_0,emb_f_1,emb_g_0,emb_g_1,target_logit,true_prob,label\n"
+                        "0.1,0.2,0.3,0.4,-0.2,0.45,99999999999999999999\n")
+        assert main(["train", "--config", config, "--dataset", str(data),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "column 'label': '99999999999999999999' is not an int64 integer" in err
+
     def test_study_with_failing_replicates(self, tmp_path, capsys):
         doc = dict(TINY, split={"train_n": 20, "test_n": 8})  # exceeds m=12
         config = write_config(tmp_path, doc)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from menkf import enkf, numerics
 from menkf.enkf import Ensemble, enkf_update, ensemble_moments, member_perturbations
 from menkf.exceptions import DimensionError, InvalidInputError
 from menkf.kalman import GaussianBelief, LinearStateSpace, kf_update
@@ -77,6 +78,54 @@ class TestEnkfUpdate:
             expected[i] = members[i] + gain @ (y + perturbed[i] - obs @ members[i])
         np.testing.assert_allclose(out.members, expected, atol=1e-10)
 
+    def test_rank_deficient_block_matches_member_space_gain(self):
+        # N = 3 < m = 6: M has rank 2, so four of its eigenvalues are
+        # rounding noise of either sign, and obs_var goes down to 1e-10
+        rng = np.random.default_rng(23)
+        n, d, m = 3, 5, 6
+        members = rng.standard_normal((n, d))
+        obs = rng.standard_normal((m, d))
+        obs_var = np.array([1e-10, 1e-4, 1.0])
+        y = rng.standard_normal(m)
+        stream = RngStream(31, 2)
+
+        out = enkf_update(Ensemble(members), y, obs, obs_var, stream)
+
+        # the same per-member gain solved in member space, where L's null
+        # space is exact: L (M + v I)^-1 = Cs' (Cp Cp' + N v I)^-1 Cp
+        pred = members @ obs.T
+        cs = members - members.mean(axis=0)
+        cp = pred - pred.mean(axis=0)
+        residual = y + member_perturbations(stream, n, m, obs_var) - pred
+        expected = np.empty_like(members)
+        for i in range(n):
+            solved = np.linalg.solve(cp @ cp.T + n * obs_var[i] * np.eye(n), cp @ residual[i])
+            expected[i] = members[i] + cs.T @ solved
+        np.testing.assert_allclose(out.members, expected, rtol=0.0, atol=1e-10)
+
+    def test_one_stream_and_no_factorization_per_call(self, monkeypatch):
+        # per-member work would show as N generators or N factorizations
+        calls = {"generator": 0, "solve_spd": 0}
+        generator, solve_spd = RngStream.generator, numerics.solve_spd
+
+        def counted_generator(stream):
+            calls["generator"] += 1
+            return generator(stream)
+
+        def counted_solve_spd(*args, **kwargs):
+            calls["solve_spd"] += 1
+            return solve_spd(*args, **kwargs)
+
+        monkeypatch.setattr(RngStream, "generator", counted_generator)
+        for module in (enkf, numerics):
+            monkeypatch.setattr(module, "solve_spd", counted_solve_spd, raising=False)
+        rng = np.random.default_rng(8)
+        n, d, m = 216, 20, 11
+        obs_var = np.linspace(0.5, 1.5, n)
+        enkf_update(Ensemble(rng.standard_normal((n, d))), rng.standard_normal(m),
+                    rng.standard_normal((m, d)), obs_var, RngStream(4, 2))
+        assert calls == {"generator": 1, "solve_spd": 0}
+
     def test_scalar_posterior_matches_exact_filter(self):
         # linear-Gaussian problem, N = 50000: within 2% of the exact answer
         prior_mean, prior_var, obs_noise, y = 1.0, 2.0, 0.5, 2.0
@@ -151,8 +200,9 @@ class TestMemberPerturbations:
         assert pert[0].std() == pytest.approx(1.0, rel=0.1)
         assert pert[1].std() == pytest.approx(2.0, rel=0.1)
 
-    def test_rows_use_child_streams(self):
+    def test_rows_are_one_scaled_block(self):
         stream = RngStream(5, 6)
-        pert = member_perturbations(stream, 3, 4, np.ones(3))
-        row1 = stream.child(1).generator().standard_normal(4)
-        np.testing.assert_array_equal(pert[1], row1)
+        obs_var = np.array([1.0, 4.0, 0.25])
+        pert = member_perturbations(stream, 3, 4, obs_var)
+        block = stream.generator().standard_normal((3, 4))
+        np.testing.assert_array_equal(pert, block * np.sqrt(obs_var)[:, None])

@@ -13,11 +13,10 @@ from menkf.cli import RunConfig, main
 from menkf.enkf import Ensemble
 from menkf.exceptions import ConfigError, DataFormatError
 from menkf.simgen import Replicate
-from menkf.storage import (LoadedDataset, dataset_header, from_dict,
-                           load_checkpoint, read_dataset_csv, save_checkpoint,
-                           sha256_file, to_dict, verify_manifest,
-                           write_dataset_csv, write_json, write_manifest,
-                           write_rows_csv)
+from menkf.storage import (dataset_header, from_dict, load_checkpoint,
+                           read_dataset_csv, save_checkpoint, sha256_file,
+                           to_dict, verify_manifest, write_dataset_csv,
+                           write_json, write_manifest, write_rows_csv)
 from menkf.trainer import MenkfConfig
 
 
@@ -61,14 +60,10 @@ class TestDatasetCsv:
         rep = sample_replicate(seed=3)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_dataset_csv(a, rep)
-        write_dataset_csv(b, read_dataset_csv(a).to_replicate())
+        loaded = read_dataset_csv(a)
+        write_dataset_csv(b, Replicate(loaded.v_f, loaded.v_g, loaded.labels,
+                                       loaded.target_logits, loaded.true_prob))
         assert a.read_bytes() == b.read_bytes()
-
-    def test_to_replicate_requires_truth_columns(self):
-        data = LoadedDataset(np.ones((2, 1)), np.ones((2, 1)),
-                             np.zeros(2), None, None)
-        with pytest.raises(DataFormatError):
-            data.to_replicate()
 
     def test_optional_columns_default_to_none(self, tmp_path):
         path = tmp_path / "bare.csv"
@@ -121,10 +116,13 @@ class TestDatasetCsvErrors:
                 read_dataset_csv(self.write(tmp_path, text))
 
     def test_bad_label_names_column(self, tmp_path):
-        text = ("emb_f_0,emb_g_0,target_logit,true_prob,label\n"
-                "0.5,1.0,-0.2,0.4,1.5\n")
-        with pytest.raises(DataFormatError, match=r"column 'label'.*not a integer"):
-            read_dataset_csv(self.write(tmp_path, text))
+        # outside int64: past the C long, and past what converts to a float
+        for cell in ("1.5", "99999999999999999999", "9" * 400):
+            text = ("emb_f_0,emb_g_0,target_logit,true_prob,label\n"
+                    f"0.5,1.0,-0.2,0.4,{cell}\n")
+            with pytest.raises(DataFormatError,
+                               match=rf"row 2, column 'label': '{cell}' is not an int64"):
+                read_dataset_csv(self.write(tmp_path, text))
 
     def test_short_row_reports_count(self, tmp_path):
         text = "emb_f_0,emb_g_0,target_logit\n0.5,1.0\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from menkf.arms import ArmSpec, StateLayout, forward_batch
 from menkf.enkf import Ensemble, enkf_update
-from menkf.exceptions import DimensionError, InvalidInputError
+from menkf.exceptions import DimensionError, InvalidInputError, NumericError
 from menkf.kalman import kf_forecast, kf_update
 from menkf.numerics import RngStream, vec
 from menkf.trainer import (Batch, MenkfConfig, _apply_fixed, _jittered,
@@ -237,24 +237,6 @@ class TestMakeBatches:
         batches = make_batches(np.ones((4, 2)), np.ones((4, 2)), np.ones(4), 100)
         assert len(batches) == 1 and batches[0].size == 4
 
-    def test_shuffle_requires_rng(self):
-        with pytest.raises(InvalidInputError):
-            make_batches(np.ones((4, 2)), np.ones((4, 2)), np.ones(4), 2, shuffle=True)
-
-    def test_shuffle_keeps_rows_aligned(self):
-        gen = np.random.default_rng(1)
-        v_f = gen.standard_normal((10, 2))
-        v_g = gen.standard_normal((10, 2))
-        y = v_f[:, 0].copy()
-        batches = make_batches(v_f, v_g, y, 4, shuffle=True, rng=RngStream(7))
-        got_y = np.concatenate([b.y for b in batches])
-        got_f = np.vstack([b.v_f for b in batches])
-        assert not np.array_equal(got_y, y)  # seed 7 actually permutes
-        np.testing.assert_array_equal(np.sort(got_y), np.sort(y))
-        np.testing.assert_array_equal(got_f[:, 0], got_y)
-        again = make_batches(v_f, v_g, y, 4, shuffle=True, rng=RngStream(7))
-        np.testing.assert_array_equal(got_y, np.concatenate([b.y for b in again]))
-
     def test_batch_validation(self):
         with pytest.raises(DimensionError):
             Batch(np.ones((3, 2)), np.ones((4, 2)), np.ones(3))
@@ -335,6 +317,17 @@ class TestTrainStep:
         out = train_step(e, toy_batch(), cfg, layout, RngStream(1))
         np.testing.assert_array_equal(out.members[:, layout.a_index], -0.3)
         np.testing.assert_allclose(softplus(out.members[:, layout.b_index]), 1.5, rtol=1e-12)
+
+    def test_overflowing_observation_block_names_batch(self):
+        cfg = linear_config()
+        layout = cfg.layout()
+        e = init_ensemble(cfg, layout, RngStream(0))
+        members = e.members.copy()
+        members[:, :layout.a_index] *= 1e200  # finite weights, but Cov(pred, pred) is not
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="failed to decompose at batch 3"):
+            train_step(Ensemble(members), toy_batch(), cfg, layout, RngStream(1),
+                       batch_index=3)
 
     def test_feature_width_mismatch(self):
         cfg = linear_config(p=2, q=2)
