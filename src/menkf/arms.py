@@ -60,16 +60,6 @@ def param_count(spec: ArmSpec) -> int:
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in spec.layer_dims())
 
 
-def pad_weights(w, target_len: int) -> np.ndarray:
-    """Right-pad a weight vector with zeros up to target_len."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise DimensionError(f"w must be 1-D, got ndim={w.ndim}")
-    if w.size > target_len:
-        raise DimensionError(f"cannot pad length {w.size} down to {target_len}")
-    return np.concatenate([w, np.zeros(target_len - w.size)])
-
-
 def _check_inputs(spec: ArmSpec, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != spec.input_dim:

@@ -31,10 +31,9 @@ from .arms import ArmSpec
 from .exceptions import ConfigError, DataFormatError, MenkfError
 from .numerics import RngStream
 from .simgen import SCENARIOS, Replicate, SimConfig, gen_base_probs, gen_replicates, split
-from .storage import (LoadedDataset, from_dict, load_checkpoint,
-                      read_dataset_csv, read_json, save_checkpoint, to_dict,
-                      write_dataset_csv, write_json, write_manifest,
-                      write_rows_csv)
+from .storage import (from_dict, load_checkpoint, read_dataset_csv, read_json,
+                      save_checkpoint, to_dict, write_dataset_csv, write_json,
+                      write_manifest, write_rows_csv)
 from .trainer import MenkfConfig, fit, make_batches, sigmoid
 from .uq import adequacy, predict
 
@@ -48,17 +47,25 @@ _RNG_STUDY_TRAIN = 4
 
 @dataclass(frozen=True)
 class TrainerSettings:
-    """Trainer section of the run config; arm input widths come from data."""
+    """Trainer section of the run config; arm input widths come from data.
+
+    The default arms are affine: with a symmetric zero-mean ensemble,
+    hidden-layer weights carry no covariance with the prediction, so
+    their Kalman updates would be pure sampling noise. Affine arms make
+    every coordinate identified. The small weight jitter keeps ensemble
+    spread honest across repeated passes. Hidden arms stay available
+    through hidden_dims_f / hidden_dims_g.
+    """
 
     ensemble_size: int = 216
     init_var: float = 16.0
-    hidden_dims_f: tuple[int, ...] = (16,)
-    hidden_dims_g: tuple[int, ...] = (16,)
-    activation: str = "tanh"
-    batch_size: int = 16
-    passes_over_data: int = 1
-    jitter_var: float = 0.0
-    variance_init: str = "gaussian"
+    hidden_dims_f: tuple[int, ...] = ()
+    hidden_dims_g: tuple[int, ...] = ()
+    activation: str = "identity"
+    batch_size: int = 11
+    passes_over_data: int = 3
+    jitter_var: float = 0.01
+    variance_init: str = "gamma_shape_scale"
     shuffle_batches: bool = False
 
     def __post_init__(self):
@@ -101,31 +108,21 @@ class RunConfig:
         return self.split.test_n
 
 
-# Trainer settings for the benchmark replicate studies. Arms are affine:
-# with a symmetric zero-mean ensemble, hidden-layer weights carry no
-# covariance with the prediction, so their Kalman updates would be pure
-# sampling noise. Affine arms make every coordinate identified. The small
-# weight jitter keeps ensemble spread honest across repeated passes.
-_STUDY_TRAINER = dict(hidden_dims_f=(), hidden_dims_g=(), activation="identity",
-                      variance_init="gamma_shape_scale", batch_size=11,
-                      passes_over_data=3, jitter_var=0.01)
-
-
 def study_preset(scenario: str) -> RunConfig:
     """Frozen run configuration for one scenario's replicate study.
 
-    The stacked scenario uses a larger, tighter-prior ensemble and more
-    passes so the arm weight settles by fit quality rather than by
-    initialization luck.
+    The default trainer, except that the stacked scenario uses a larger,
+    tighter-prior ensemble and more passes so the arm weight settles by
+    fit quality rather than by initialization luck.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
-    trainer = dict(_STUDY_TRAINER)
+    trainer = TrainerSettings()
     if scenario == "stacked_average":
-        trainer.update(ensemble_size=433, init_var=2.0, passes_over_data=5)
-    return RunConfig(sim=SimConfig(scenario=scenario),
-                     trainer=TrainerSettings(**trainer))
+        trainer = dataclasses.replace(trainer, ensemble_size=433, init_var=2.0,
+                                      passes_over_data=5)
+    return RunConfig(sim=SimConfig(scenario=scenario), trainer=trainer)
 
 
 def load_run_config(path) -> RunConfig:
@@ -220,11 +217,7 @@ def run_study_replicate(j: int, rep: Replicate, cfg: RunConfig) -> dict:
     batches = make_batches(train_part.v_f, train_part.v_g,
                            train_part.target_logits, mcfg.batch_size)
     ensemble, _ = fit(batches, mcfg, root.child(_RNG_STUDY_TRAIN).child(j))
-    data_like = LoadedDataset(v_f=test_part.v_f, v_g=test_part.v_g,
-                              target_logits=test_part.target_logits,
-                              true_prob=test_part.true_prob,
-                              labels=test_part.labels)
-    report, _ = _evaluate_ensemble(ensemble, mcfg, data_like)
+    report, _ = _evaluate_ensemble(ensemble, mcfg, test_part)
     report["replicate"] = j
     return report
 

@@ -1,15 +1,16 @@
 """Shared numeric kernels: column-major vec, SPD solves, empirical
 quantiles, and reproducible RNG streams.
 
-All matrix kernels take and return float64 numpy arrays. The vec
-convention is column-major throughout the package; see
-trainer.build_vec_operator for the operator it implies.
+All matrix kernels take and return float64 numpy arrays and use numpy
+alone. The vec convention is column-major throughout the package; see
+trainer.build_vec_operator for the operator it implies. solve_spd is
+the exact Kalman filter's (kalman.kf_update) innovation solve; the
+ensemble update solves through an eigendecomposition of its own.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionError, InvalidInputError, NotSpdError
 
@@ -75,7 +76,8 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def solve_spd(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
-    Raises NotSpdError when the factorization fails.
+    Raises InvalidInputError when A or b holds a NaN or an infinity, and
+    NotSpdError when the factorization fails.
     """
     a = _as_matrix(a, "a")
     n = a.shape[0]
@@ -84,11 +86,14 @@ def solve_spd(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != n:
         raise DimensionError(f"b leading dimension {b.shape[0]} != {n}")
+    # the factorization passes NaN and inf through without failing
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidInputError("solve_spd requires finite a and b")
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
+        lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
         raise NotSpdError(f"Cholesky factorization failed: {err}") from err
-    return scipy.linalg.cho_solve(factor, b)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def empirical_quantile(v, q: float) -> float:

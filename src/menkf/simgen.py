@@ -82,13 +82,15 @@ class SimConfig:
 
 @dataclass
 class Replicate:
-    """One training-ready dataset drawn around the base truth."""
+    """One training-ready dataset, drawn around the base truth or read
+    from a dataset CSV; a CSV without true_prob or label columns leaves
+    that field None."""
 
     v_f: np.ndarray
     v_g: np.ndarray
-    labels: np.ndarray
+    labels: np.ndarray | None
     target_logits: np.ndarray
-    true_prob: np.ndarray
+    true_prob: np.ndarray | None
 
     @property
     def size(self) -> int:

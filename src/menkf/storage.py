@@ -32,7 +32,6 @@ import math
 import struct
 import types
 import typing
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,21 +62,6 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------- datasets
-
-@dataclass
-class LoadedDataset:
-    """In-memory form of a dataset CSV; optional columns may be None."""
-
-    v_f: np.ndarray
-    v_g: np.ndarray
-    target_logits: np.ndarray
-    true_prob: np.ndarray | None
-    labels: np.ndarray | None
-
-    @property
-    def size(self) -> int:
-        return self.target_logits.shape[0]
-
 
 def dataset_header(p: int, q: int) -> list[str]:
     return ([f"emb_f_{i}" for i in range(p)] + [f"emb_g_{i}" for i in range(q)]
@@ -114,8 +98,11 @@ def _block_columns(header: list[str], prefix: str, path) -> list[int]:
     return [found[i] for i in range(len(found))]
 
 
-def read_dataset_csv(path) -> LoadedDataset:
-    """Parse a dataset CSV; errors name the row and column at fault."""
+def read_dataset_csv(path) -> Replicate:
+    """Parse a dataset CSV; errors name the row and column at fault.
+
+    true_prob and labels are None when their columns are absent.
+    """
     try:
         with open(path, newline="") as fh:
             table = list(csv.reader(fh))
@@ -133,8 +120,6 @@ def read_dataset_csv(path) -> LoadedDataset:
     named = {name: idx for idx, name in enumerate(header)}
 
     def parse(row_num, row, col_idx, as_int=False):
-        if col_idx >= len(row):
-            raise DataFormatError(f"{path}: row {row_num} has only {len(row)} fields")
         text = row[col_idx]
         try:
             value = int(text) if as_int else float(text)
@@ -166,7 +151,8 @@ def read_dataset_csv(path) -> LoadedDataset:
             true_prob[i] = parse(row_num, row, named["true_prob"])
         if labels is not None:
             labels[i] = parse(row_num, row, named["label"], as_int=True)
-    return LoadedDataset(v_f, v_g, target, true_prob, labels)
+    return Replicate(v_f=v_f, v_g=v_g, labels=labels, target_logits=target,
+                     true_prob=true_prob)
 
 
 # ----------------------------------------------------------- config schema

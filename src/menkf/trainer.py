@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 from .arms import ArmSpec, StateLayout, forward_batch, param_count
 from .enkf import Ensemble, enkf_update
@@ -34,8 +33,13 @@ _GAMMA_SCALE = 0.01
 
 
 def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)), overflow-safe."""
-    return scipy.special.expit(x)
+    """Logistic function 1 / (1 + exp(-x)), overflow-safe.
+
+    For very negative x, exp(-x) overflows to inf and the result is
+    exactly 0, which is the correct limit; the warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 def softplus(x):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menkf.arms import (ArmSpec, StateLayout, forward, forward_batch,
-                        pad_weights, param_count)
+from menkf.arms import ArmSpec, StateLayout, forward, forward_batch, param_count
 from menkf.exceptions import DimensionError, InvalidInputError
 
 
@@ -105,7 +104,7 @@ class TestForward:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal(param_count(spec))
         v = rng.standard_normal((3, 3))
-        padded = pad_weights(w, param_count(spec) + extra)
+        padded = np.concatenate([w, np.zeros(extra)])
         np.testing.assert_array_equal(forward(spec, padded, v), forward(spec, w, v))
 
 
@@ -134,18 +133,6 @@ class TestForwardBatch:
         spec = ArmSpec(2, (3,), "tanh")
         with pytest.raises(DimensionError):
             forward_batch(spec, np.zeros((4, 3)), np.zeros((5, 2)))
-
-
-class TestPadWeights:
-    def test_pads_with_zeros(self):
-        np.testing.assert_array_equal(pad_weights([1.0, 2.0], 4), [1.0, 2.0, 0.0, 0.0])
-
-    def test_same_length_is_identity(self):
-        np.testing.assert_array_equal(pad_weights([1.0], 1), [1.0])
-
-    def test_cannot_shrink(self):
-        with pytest.raises(DimensionError):
-            pad_weights([1.0, 2.0, 3.0], 2)
 
 
 class TestStateLayout:

@@ -1,20 +1,26 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from menkf.cli import (RunConfig, _aggregate_study, load_run_config, main,
-                       study_preset)
+import menkf
+from menkf.cli import (_RNG_BASE, _RNG_REPLICATES, _RNG_SPLIT, RunConfig,
+                       _aggregate_study, load_run_config, main, study_preset)
 from menkf.exceptions import ConfigError
+from menkf.numerics import RngStream
+from menkf.simgen import gen_base_probs, gen_replicates, split
 from menkf.storage import from_dict, read_json, to_dict, verify_manifest
 
 TINY = {
     "seed": 0,
     "sim": {"m": 12, "replicates": 2, "p": 2, "q": 2},
     "trainer": {"ensemble_size": 8, "hidden_dims_f": [], "hidden_dims_g": [],
-                "activation": "identity", "batch_size": 12},
+                "activation": "identity", "batch_size": 12, "passes_over_data": 1},
     "split": {"train_n": 9, "test_n": 3},
 }
 
@@ -103,6 +109,54 @@ class TestStudyPreset:
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
             study_preset("bogus")
+
+    def test_defaults_are_the_well_specified_preset(self):
+        assert study_preset("well_specified") == RunConfig()
+
+
+class TestDefaults:
+    def test_defaults_beat_constant_predictor(self, tmp_path):
+        doc = to_dict(RunConfig())
+        doc["sim"]["replicates"] = 5
+        out = tmp_path / "study"
+        assert main(["replicate-study", "--config", write_config(tmp_path, doc),
+                     "--output-dir", str(out)]) == 0
+        agg = read_json(out / "study.json")["aggregates"]
+        # the same test rows run_study_replicate evaluates on
+        cfg = from_dict(RunConfig, doc)
+        root = RngStream(cfg.seed)
+        base = gen_base_probs(cfg.sim, root.child(_RNG_BASE))
+        reps = gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
+        constant_mae = np.mean([
+            np.mean(np.abs(0.5 - split(rep, cfg.train_n, cfg.test_n,
+                                       root.child(_RNG_SPLIT).child(j))[1].true_prob))
+            for j, rep in enumerate(reps)])
+        assert agg["n_rows"] == 5
+        assert agg["width_mean"] < 0.9
+        assert agg["mae_mean"] < constant_mae
+
+
+class TestImports:
+    def test_cli_imports_numpy_only(self):
+        # importing the CLI loads modules of no installed distribution but
+        # numpy (and menkf, when installed); the child gets the same
+        # PYTHONPATH as the acceptance gate's run_cli
+        env = os.environ.copy()
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(menkf.__file__).resolve().parents[1]),
+                          env.get("PYTHONPATH")]))
+        code = ("import sys, importlib.metadata as md\n"
+                "before = set(sys.modules)\n"
+                "import menkf.cli\n"
+                "owners = md.packages_distributions()\n"
+                "added = ({m.split('.')[0] for m in set(sys.modules) - before}\n"
+                "         - set(sys.stdlib_module_names))\n"
+                "print(sorted({d for m in added for d in owners.get(m, [])}"
+                " - {'numpy', 'menkf'}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -103,6 +103,12 @@ class TestSolveSpd:
         with pytest.raises(DimensionError):
             solve_spd(np.eye(3), np.ones(4))
 
+    def test_nonfinite_rejected(self):
+        with pytest.raises(InvalidInputError):
+            solve_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+        with pytest.raises(InvalidInputError):
+            solve_spd(np.eye(2), np.array([1.0, np.inf]))
+
 
 class TestEmpiricalQuantile:
     def test_interpolated_value(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ class TestLinkFunctions:
         # overflow-safe far into the tails
         assert sigmoid(-800.0) == 0.0
         assert sigmoid(800.0) == 1.0
+
+    def test_sigmoid_within_4_ulp_without_warnings(self):
+        # reference: the textbook formula in math, whose exp(-x) overflows
+        # below x = -709.78; there sigmoid(x) = exp(x) to double precision
+        special = [0.0, 1e-300, 20.0, 709.0, 745.0, 800.0]
+        xs = np.concatenate([special, np.negative(special), np.linspace(-709.0, 709.0, 2001)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = sigmoid(xs)
+            scalars = [sigmoid(float(x)) for x in xs]
+        for x, got, one in zip(xs, batch, scalars):
+            ref = 1.0 / (1.0 + math.exp(-x)) if x >= -709.0 else math.exp(x)
+            assert abs(got - ref) <= 4 * math.ulp(ref), x
+            assert one == got
 
     def test_softplus_values(self):
         assert softplus(0.0) == pytest.approx(math.log(2.0), rel=1e-12)
