@@ -8,7 +8,7 @@ pushing every member's prediction through the logistic function yields
 empirical 95% intervals and adequacy diagnostics.
 """
 
-from .arms import ArmSpec, StateLayout, forward, forward_batch, param_count
+from .arms import ArmSpec, StateLayout, forward_batch, param_count
 from .enkf import Ensemble, enkf_update, ensemble_moments
 from .exceptions import (ConfigError, DataFormatError, DimensionError,
                          InvalidInputError, MenkfError, NotSpdError, NumericError)
@@ -29,8 +29,8 @@ __all__ = [
     "NumericError", "PredictionSummary", "Replicate", "RngStream", "SimConfig",
     "StateLayout", "TrainingTrace", "adequacy", "build_vec_operator",
     "coverage", "empirical_quantile", "enkf_update", "ensemble_moments", "fit",
-    "forward", "forward_batch", "gen_base_probs", "gen_replicates",
-    "init_ensemble", "inv_softplus", "kf_forecast", "kf_update",
-    "make_batches", "measure", "param_count", "predict", "sigmoid",
-    "softplus", "solve_spd", "split", "train_step", "vec",
+    "forward_batch", "gen_base_probs", "gen_replicates", "init_ensemble",
+    "inv_softplus", "kf_forecast", "kf_update", "make_batches", "measure",
+    "param_count", "predict", "sigmoid", "softplus", "solve_spd", "split",
+    "train_step", "vec",
 ]

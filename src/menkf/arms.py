@@ -4,9 +4,9 @@ state layout that places two arms and two scalars in one member vector.
 Weight layout per arm, frozen so checkpoints stay readable: layers run
 input -> hidden... -> 1 (scalar output, no output activation). For each
 layer the weight matrix is stored column-major, followed by that
-layer's biases. param_count gives the exact length; forward accepts
-longer vectors and ignores the trailing entries, which is what lets a
-shorter arm live padded inside a shared state block.
+layer's biases. param_count gives the exact length; forward_batch
+accepts longer vectors and ignores the trailing entries, which is what
+lets a shorter arm live padded inside a shared state block.
 
 A member vector is the column-major vec of the (n_pad + 2, 2) block
 
@@ -68,37 +68,12 @@ def _check_inputs(spec: ArmSpec, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def forward(spec: ArmSpec, w, v) -> np.ndarray:
-    """Scalar outputs of one arm on a batch of input rows.
-
-    w is the flat parameter vector; entries past param_count(spec) are
-    padding and are ignored.
-    """
-    v = _check_inputs(spec, v)
-    w = np.asarray(w, dtype=float)
-    need = param_count(spec)
-    if w.ndim != 1 or w.size < need:
-        raise DimensionError(f"w must be 1-D with at least {need} entries, got shape {w.shape}")
-    act = _ACTIVATIONS[spec.activation]
-    z = v
-    offset = 0
-    layers = spec.layer_dims()
-    for k, (fan_in, fan_out) in enumerate(layers):
-        weight = w[offset:offset + fan_in * fan_out].reshape((fan_in, fan_out), order="F")
-        offset += fan_in * fan_out
-        bias = w[offset:offset + fan_out]
-        offset += fan_out
-        z = z @ weight + bias
-        if k < len(layers) - 1:
-            z = act(z)
-    return z[:, 0]
-
-
 def forward_batch(spec: ArmSpec, weights, v) -> np.ndarray:
-    """forward() for many parameter vectors at once.
+    """Scalar outputs of one arm per parameter vector on a batch of input rows.
 
-    weights is (N, >= param_count); returns (N, rows). Row i equals
-    forward(spec, weights[i], v) up to floating-point association.
+    weights is (N, >= param_count), one flat parameter vector per row;
+    entries past param_count(spec) are padding and are ignored. Returns
+    (N, rows).
     """
     v = _check_inputs(spec, v)
     weights = np.asarray(weights, dtype=float)

@@ -195,6 +195,11 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, output_dir: str) -> in
     out.mkdir(parents=True, exist_ok=True)
     ensemble, mcfg = load_checkpoint(checkpoint_path)
     data = read_dataset_csv(dataset_path)
+    for block, found, spec in (("emb_f_", data.v_f.shape[1], mcfg.arm_f),
+                               ("emb_g_", data.v_g.shape[1], mcfg.arm_g)):
+        if found != spec.input_dim:
+            raise DataFormatError(f"{dataset_path}: {block}* block has {found} columns, "
+                                  f"the checkpoint expects {spec.input_dim}")
     started = time.perf_counter()
     report, rows = _evaluate_ensemble(ensemble, mcfg, data)
     elapsed = time.perf_counter() - started

@@ -4,13 +4,19 @@ Members are rows of an (N, d) matrix. Sample covariances use the 1/N
 normalization, and the update perturbs the observation once per member
 with that member's own noise variance, so the gain is member-dependent:
 
-    K_i = L (M + obs_var[i] I)^-1,  L = S H',  M = H S H'
+    K_i = L (M + obs_var[i] I)^-1,  L = Cov(x, h(x)),  M = Cov(h(x), h(x))
 
-L and M are shared across members and are assembled from centered
-products without ever forming the full d x d sample covariance. One
-eigendecomposition M = U diag(lam) U' then gives every member's solve at
-once, (M + v I)^-1 = U diag(1 / (lam + v)) U', and the perturbations of
-all members are one (N, m) block from a single stream per step.
+where h(x) are a member's predicted observations; for a linear operator
+h(x) = H x they are L = S H' and M = H S H'. L and M are shared across
+members and are assembled from centered products without ever forming
+the full d x d sample covariance. One eigendecomposition
+M = U diag(lam) U' then gives every member's solve at once,
+(M + v I)^-1 = U diag(1 / (lam + v)) U', and the perturbations of all
+members are one (N, m) block from a single stream per step.
+
+analysis() is the one kernel: it takes the members and their predicted
+observations, so the trainer's nonlinear measurement and enkf_update's
+linear operator H both go through it.
 """
 
 from dataclasses import dataclass
@@ -63,42 +69,38 @@ def member_perturbations(rng: RngStream, n_members: int, obs_dim: int,
     return rng.generator().standard_normal((n_members, obs_dim)) * np.sqrt(obs_var)[:, None]
 
 
-def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream) -> Ensemble:
-    """One stochastic EnKF analysis step; returns a new ensemble.
+def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
+             rng: RngStream) -> np.ndarray:
+    """One stochastic EnKF analysis step from the members' own predictions.
 
     Parameters
     ----------
-    e : forecast ensemble.
+    members : forecast members, shape (N, d).
+    predicted : each member's predicted observations, shape (N, m).
     y : observation vector, length m.
-    obs_matrix : linear observation operator H, shape (m, d).
     obs_var : per-member observation noise variance, length N, all > 0.
     rng : stream used for the perturbed observations (one block per call).
 
-    Raises numpy.linalg.LinAlgError if M is not finite or its
-    eigendecomposition fails.
+    Returns the shifted (N, d) members. Raises numpy.linalg.LinAlgError
+    if M is not finite or its eigendecomposition fails.
     """
-    h = np.asarray(obs_matrix, dtype=float)
-    if h.ndim != 2 or h.shape[1] != e.dim:
-        raise DimensionError(f"obs_matrix shape {h.shape} does not match state dim {e.dim}")
-    m = h.shape[0]
+    n, m = predicted.shape
     y = np.asarray(y, dtype=float)
     if y.shape != (m,):
         raise DimensionError(f"y shape {y.shape} does not match obs dim {m}")
     obs_var = np.asarray(obs_var, dtype=float)
-    if obs_var.shape != (e.size,):
-        raise DimensionError(f"obs_var length {obs_var.shape} does not match N={e.size}")
+    if obs_var.shape != (n,):
+        raise DimensionError(f"obs_var length {obs_var.shape} does not match N={n}")
     if np.any(obs_var <= 0.0) or not np.all(np.isfinite(obs_var)):
         raise InvalidInputError("obs_var entries must be positive and finite")
 
-    members = e.members
-    predicted = members @ h.T
     centered_state = members - members.mean(axis=0)
     centered_pred = predicted - predicted.mean(axis=0)
-    # L = S H' and M = H S H' assembled without the d x d covariance.
-    cross = centered_state.T @ centered_pred / e.size
-    obs_block = symmetrize(centered_pred.T @ centered_pred / e.size)
+    # L and M assembled without the d x d covariance.
+    cross = centered_state.T @ centered_pred / n
+    obs_block = symmetrize(centered_pred.T @ centered_pred / n)
 
-    perturbed = member_perturbations(rng, e.size, m, obs_var)
+    perturbed = member_perturbations(rng, n, m, obs_var)
     residual = y[None, :] + perturbed - predicted
 
     if not np.all(np.isfinite(obs_block)):
@@ -110,4 +112,15 @@ def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream) -> Ensemble
     keep = eigvals > m * np.finfo(float).eps * max(eigvals[-1], 0.0)
     lam, basis = eigvals[keep], eigvecs[:, keep]
     shifts = ((residual @ basis) / (lam + obs_var[:, None])) @ (cross @ basis).T
-    return Ensemble(members + shifts)
+    return members + shifts
+
+
+def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream) -> Ensemble:
+    """analysis() of an ensemble under a linear observation operator H, (m, d).
+
+    Returns a new ensemble; raises as analysis() does.
+    """
+    h = np.asarray(obs_matrix, dtype=float)
+    if h.ndim != 2 or h.shape[1] != e.dim:
+        raise DimensionError(f"obs_matrix shape {h.shape} does not match state dim {e.dim}")
+    return Ensemble(analysis(e.members, e.members @ h.T, y, obs_var, rng))

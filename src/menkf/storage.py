@@ -113,6 +113,9 @@ def read_dataset_csv(path) -> Replicate:
     header, rows = table[0], table[1:]
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise DataFormatError(f"{path}: column {repeated!r} appears more than once")
     f_cols = _block_columns(header, "emb_f_", path)
     g_cols = _block_columns(header, "emb_g_", path)
     if "target_logit" not in header:

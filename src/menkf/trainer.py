@@ -10,10 +10,10 @@ filter over the flat augmented state [w_f | w_g | a | b]:
 
 The state transition is the identity (optionally jittered), so all
 learning happens in the analysis step. The measurement map is nonlinear
-in the state, so each member is augmented with its own predicted
-observations and the gain is taken from the joint sample covariance of
-(state, prediction); with a linear map this reduces exactly to the
-textbook ensemble update, which is what the oracle tests check.
+in the state, so the gain is taken from the sample covariance between
+each member and its own predicted observations (enkf.analysis); with a
+linear map this is exactly the textbook ensemble update, which is what
+the oracle tests check.
 """
 
 import math
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arms import ArmSpec, StateLayout, forward_batch, param_count
-from .enkf import Ensemble, enkf_update
+from .enkf import Ensemble, analysis
 from .exceptions import DimensionError, InvalidInputError, NumericError
 from .kalman import GaussianBelief, LinearStateSpace
 from .numerics import RngStream
@@ -184,31 +184,6 @@ def measure(e: Ensemble, batch: Batch, layout: StateLayout,
     return arm_averaged_logits(e.members, batch.v_f, batch.v_g, layout, spec_f, spec_g)
 
 
-def _joint_update(members: np.ndarray, predictions: np.ndarray, y: np.ndarray,
-                  obs_var: np.ndarray, rng: RngStream,
-                  batch_index: int | None) -> np.ndarray:
-    """Shift members using the joint (state, prediction) sample covariance.
-
-    Appends each member's predictions as extra coordinates and updates
-    with the operator that reads exactly those coordinates; the selected
-    gain block is then Cov(state, pred) (Cov(pred, pred) + var I)^-1.
-    Every var > 0 keeps the solve well-posed, so there is no fallback: a
-    failed eigendecomposition is a NumericError naming the batch.
-    """
-    d = members.shape[1]
-    m = predictions.shape[1]
-    joint = Ensemble(np.hstack([members, predictions]))
-    selector = np.zeros((m, d + m))
-    selector[:, d:] = np.eye(m)
-    try:
-        updated = enkf_update(joint, y, selector, obs_var, rng)
-    except np.linalg.LinAlgError as err:
-        where = "" if batch_index is None else f" at batch {batch_index}"
-        raise NumericError(
-            f"observation covariance block failed to decompose{where}") from err
-    return updated.members[:, :d]
-
-
 def _jittered(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout,
               rng: RngStream) -> np.ndarray:
     members = members.copy()
@@ -224,6 +199,12 @@ def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
                rng: RngStream, batch_index: int | None = None) -> Ensemble:
     """One forecast-and-analysis step on one batch; returns a new ensemble.
 
+    The jittered members are shifted by enkf.analysis from their own
+    predicted logits, so the gain is Cov(state, pred) (Cov(pred, pred) +
+    var I)^-1. Every var > 0 keeps the solve well-posed, so there is no
+    fallback: a failed eigendecomposition is a NumericError naming the
+    batch.
+
     rng children: 0 drives the (optional) transition jitter, 1 drives the
     observation perturbations, drawn as one (N, m) block.
     """
@@ -234,9 +215,12 @@ def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
     predictions = arm_averaged_logits(members, batch.v_f, batch.v_g, layout,
                                       cfg.arm_f, cfg.arm_g)
     obs_var = softplus(members[:, layout.b_index])
-    updated = _joint_update(members, predictions, batch.y, obs_var,
-                            rng.child(1), batch_index)
-    updated = np.ascontiguousarray(updated)
+    try:
+        updated = analysis(members, predictions, batch.y, obs_var, rng.child(1))
+    except np.linalg.LinAlgError as err:
+        where = "" if batch_index is None else f" at batch {batch_index}"
+        raise NumericError(
+            f"observation covariance block failed to decompose{where}") from err
     layout.apply_structural_zeros(updated)
     _apply_fixed(updated, cfg, layout)
     return Ensemble(updated)

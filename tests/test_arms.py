@@ -5,8 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menkf.arms import ArmSpec, StateLayout, forward, forward_batch, param_count
+from menkf.arms import ArmSpec, StateLayout, forward_batch, param_count
 from menkf.exceptions import DimensionError, InvalidInputError
+
+_ACTIVATIONS = {"identity": lambda z: z, "tanh": np.tanh,
+                "relu": lambda z: np.maximum(z, 0.0)}
+
+
+def forward(spec: ArmSpec, w, v) -> np.ndarray:
+    """Named oracle of forward_batch: one flat parameter vector, layer by layer.
+
+    Entries of w past param_count(spec) are padding and are ignored.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != spec.input_dim:
+        raise DimensionError(f"inputs must be (rows, {spec.input_dim}), got {v.shape}")
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.size < param_count(spec):
+        raise DimensionError(f"w must be 1-D with at least {param_count(spec)} entries")
+    z = v
+    offset = 0
+    layers = spec.layer_dims()
+    for k, (fan_in, fan_out) in enumerate(layers):
+        weight = w[offset:offset + fan_in * fan_out].reshape((fan_in, fan_out), order="F")
+        offset += fan_in * fan_out
+        z = z @ weight + w[offset:offset + fan_out]
+        offset += fan_out
+        if k < len(layers) - 1:
+            z = _ACTIVATIONS[spec.activation](z)
+    return z[:, 0]
 
 
 class TestParamCount:

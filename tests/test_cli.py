@@ -220,6 +220,30 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"row 3, column '{column}': '{cell}' is not a finite number" in err
 
+    def test_repeated_dataset_column(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        data = tmp_path / "repeated.csv"
+        data.write_text("emb_f_0,emb_f_0,emb_g_0,target_logit,target_logit\n"
+                        "1.0,2.0,3.0,0.5,9.0\n")
+        assert main(["train", "--config", config, "--dataset", str(data),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert "column 'emb_f_0' appears more than once" in capsys.readouterr().err
+
+    def test_dataset_width_does_not_fit_checkpoint(self, tmp_path, capsys):
+        config = write_config(tmp_path)  # p = q = 2
+        sim_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", config, "--output-dir", str(sim_dir)]) == 0
+        assert main(["train", "--config", config,
+                     "--dataset", str(sim_dir / "replicates" / "rep_000.csv"),
+                     "--output-dir", str(tmp_path / "fit")]) == 0
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("emb_f_0,emb_g_0,emb_g_1,target_logit\n0.1,0.2,0.3,-0.2\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "fit" / "checkpoint.menkf"),
+                     "--dataset", str(narrow), "--output-dir", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert f"{narrow}: emb_f_* block has 1 columns, the checkpoint expects 2" in err
+
     def test_label_outside_int64(self, tmp_path, capsys):
         config = write_config(tmp_path)
         data = tmp_path / "big_label.csv"

@@ -124,6 +124,17 @@ class TestDatasetCsvErrors:
                                match=rf"row 2, column 'label': '{cell}' is not an int64"):
                 read_dataset_csv(self.write(tmp_path, text))
 
+    def test_repeated_column_rejected(self, tmp_path):
+        # the last of each repeated column would silently win
+        text = ("emb_f_0,emb_f_0,emb_g_0,target_logit,target_logit\n"
+                "1.0,2.0,3.0,0.5,9.0\n")
+        with pytest.raises(DataFormatError, match="column 'emb_f_0' appears more than once"):
+            read_dataset_csv(self.write(tmp_path, text))
+        text = "emb_f_0,emb_g_0,target_logit,target_logit\n1.0,3.0,0.5,9.0\n"
+        with pytest.raises(DataFormatError,
+                           match="column 'target_logit' appears more than once"):
+            read_dataset_csv(self.write(tmp_path, text))
+
     def test_short_row_reports_count(self, tmp_path):
         text = "emb_f_0,emb_g_0,target_logit\n0.5,1.0\n"
         with pytest.raises(DataFormatError, match="row 2 has 2 fields, expected 3"):

@@ -294,8 +294,13 @@ class TestTrainStep:
         b = train_step(e, toy_batch(), cfg, layout, RngStream(2))
         np.testing.assert_array_equal(a.members, b.members)
 
-    def test_matches_explicit_operator_path(self):
-        cfg = linear_config(p=3, q=2, ensemble_size=45, jitter_var=0.02)
+    @pytest.mark.parametrize("arm_f, arm_g", [
+        (ArmSpec(3, (), "identity"), ArmSpec(2, (), "identity")),
+        (ArmSpec(3, (3,), "tanh"), ArmSpec(2, (2,), "tanh")),
+    ], ids=["affine", "tanh"])
+    def test_matches_explicit_operator_path(self, arm_f, arm_g):
+        cfg = MenkfConfig(arm_f=arm_f, arm_g=arm_g, ensemble_size=45, init_var=4.0,
+                          batch_size=8, jitter_var=0.02)
         layout = cfg.layout()
         e = init_ensemble(cfg, layout, RngStream(6))
         batch = toy_batch(rows=7, p=3, q=2, seed=3)
