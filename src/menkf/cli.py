@@ -35,7 +35,7 @@ from .storage import (from_dict, load_checkpoint, read_dataset_csv, read_json,
                       save_checkpoint, to_dict, write_dataset_csv, write_json,
                       write_manifest, write_rows_csv)
 from .trainer import MenkfConfig, fit, make_batches, sigmoid
-from .uq import adequacy, predict
+from .uq import interval_adequacy, interval_arrays
 
 # rng children of the root stream, one per pipeline stage
 _RNG_BASE = 0
@@ -181,12 +181,13 @@ def cmd_train(cfg: RunConfig, dataset_path: str, output_dir: str | None = None) 
 
 def _evaluate_ensemble(ensemble, mcfg: MenkfConfig, data) -> tuple[dict, list]:
     layout = mcfg.layout()
-    summaries = predict(ensemble, data.v_f, data.v_g, layout, mcfg.arm_f, mcfg.arm_g)
+    _, point, lo, hi = interval_arrays(ensemble, data.v_f, data.v_g, layout,
+                                       mcfg.arm_f, mcfg.arm_g)
     truth = data.true_prob if data.true_prob is not None else sigmoid(data.target_logits)
-    report = adequacy(summaries, truth, ensemble, layout)
-    rows = [{"row": j, "point": s.point, "lo": s.lo, "hi": s.hi,
-             "width": s.width, "true_prob": float(t)}
-            for j, (s, t) in enumerate(zip(summaries, truth))]
+    report = interval_adequacy(point, lo, hi, truth, ensemble, layout)
+    rows = [{"row": j, "point": p, "lo": l, "hi": h, "width": h - l, "true_prob": t}
+            for j, (p, l, h, t) in enumerate(zip(point.tolist(), lo.tolist(),
+                                                 hi.tolist(), truth.tolist()))]
     return report.to_dict(), rows
 
 

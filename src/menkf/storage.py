@@ -24,11 +24,13 @@ their type hints: a nested dataclass is a JSON object, a tuple a list.
 from_dict rejects unknown keys and checks every value strictly.
 """
 
+import array
 import csv
 import dataclasses
 import hashlib
 import json
 import math
+import operator
 import struct
 import types
 import typing
@@ -69,17 +71,12 @@ def dataset_header(p: int, q: int) -> list[str]:
 
 
 def write_dataset_csv(path, rep: Replicate) -> None:
-    p, q = rep.v_f.shape[1], rep.v_g.shape[1]
+    values = np.column_stack([rep.v_f, rep.v_g, rep.target_logits, rep.true_prob])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(dataset_header(p, q))
-        for i in range(rep.size):
-            row = [_fmt(x) for x in rep.v_f[i]]
-            row += [_fmt(x) for x in rep.v_g[i]]
-            row.append(_fmt(rep.target_logits[i]))
-            row.append(_fmt(rep.true_prob[i]))
-            row.append(str(int(rep.labels[i])))
-            writer.writerow(row)
+        writer.writerow(dataset_header(rep.v_f.shape[1], rep.v_g.shape[1]))
+        writer.writerows([*map(repr, row), str(int(label))]
+                         for row, label in zip(values.tolist(), rep.labels.tolist()))
 
 
 def _block_columns(header: list[str], prefix: str, path) -> list[int]:
@@ -87,10 +84,15 @@ def _block_columns(header: list[str], prefix: str, path) -> list[int]:
     found = {}
     for idx, name in enumerate(header):
         if name.startswith(prefix):
+            suffix = name[len(prefix):]
             try:
-                found[int(name[len(prefix):])] = idx
-            except ValueError as err:
-                raise DataFormatError(f"{path}: bad column name {name!r}") from err
+                index = int(suffix)
+            except ValueError:
+                index = None
+            # the canonical spelling only, so that emb_f_01 cannot stand in for emb_f_1
+            if index is None or str(index) != suffix:
+                raise DataFormatError(f"{path}: bad column name {name!r}")
+            found[index] = idx
     if not found:
         raise DataFormatError(f"{path}: no {prefix}* columns found")
     if sorted(found) != list(range(len(found))):
@@ -101,18 +103,22 @@ def _block_columns(header: list[str], prefix: str, path) -> list[int]:
 def read_dataset_csv(path) -> Replicate:
     """Parse a dataset CSV; errors name the row and column at fault.
 
-    true_prob and labels are None when their columns are absent.
+    true_prob and labels are None when their columns are absent. Rows
+    are converted one at a time into one float buffer, so the file's
+    text is never held whole.
     """
     try:
         with open(path, newline="") as fh:
-            table = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file")
+            return _read_rows(path, header, reader)
     except (UnicodeDecodeError, csv.Error) as err:
         raise DataFormatError(f"{path}: not a readable UTF-8 CSV file ({err})") from err
-    if not table:
-        raise DataFormatError(f"{path}: empty file")
-    header, rows = table[0], table[1:]
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
+
+
+def _read_rows(path, header: list[str], reader) -> Replicate:
     repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
     if repeated is not None:
         raise DataFormatError(f"{path}: column {repeated!r} appears more than once")
@@ -121,6 +127,10 @@ def read_dataset_csv(path) -> Replicate:
     if "target_logit" not in header:
         raise DataFormatError(f"{path}: missing target_logit column")
     named = {name: idx for idx, name in enumerate(header)}
+    has_prob, has_label = "true_prob" in named, "label" in named
+    float_cols = f_cols + g_cols + [named["target_logit"]] + (
+        [named["true_prob"]] if has_prob else [])
+    pick = operator.itemgetter(*float_cols)
 
     def parse(row_num, row, col_idx, as_int=False):
         text = row[col_idx]
@@ -134,28 +144,31 @@ def read_dataset_csv(path) -> Replicate:
         raise DataFormatError(f"{path}: row {row_num}, column {header[col_idx]!r}: "
                               f"{text!r} is not {kind}")
 
-    n = len(rows)
-    v_f = np.empty((n, len(f_cols)))
-    v_g = np.empty((n, len(g_cols)))
-    target = np.empty(n)
-    true_prob = np.empty(n) if "true_prob" in named else None
-    labels = np.empty(n, dtype=np.int64) if "label" in named else None
-    for i, row in enumerate(rows):
-        row_num = i + 2  # 1-based, counting the header line
+    values = array.array("d")
+    labels = []
+    for row_num, row in enumerate(reader, start=2):  # 1-based, counting the header line
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
-        for j, c in enumerate(f_cols):
-            v_f[i, j] = parse(row_num, row, c)
-        for j, c in enumerate(g_cols):
-            v_g[i, j] = parse(row_num, row, c)
-        target[i] = parse(row_num, row, named["target_logit"])
-        if true_prob is not None:
-            true_prob[i] = parse(row_num, row, named["true_prob"])
-        if labels is not None:
-            labels[i] = parse(row_num, row, named["label"], as_int=True)
-    return Replicate(v_f=v_f, v_g=v_g, labels=labels, target_logits=target,
-                     true_prob=true_prob)
+        try:
+            converted = tuple(map(float, pick(row)))
+            ok = math.isfinite(sum(converted))  # a nan or inf anywhere spoils the sum
+        except ValueError:
+            ok = False
+        if not ok:  # find the cell at fault; a sum that merely overflowed passes
+            converted = tuple(parse(row_num, row, c) for c in float_cols)
+        values.extend(converted)
+        if has_label:
+            labels.append(parse(row_num, row, named["label"], as_int=True))
+    if not values:
+        raise DataFormatError(f"{path}: no data rows")
+    table = np.frombuffer(values, dtype=float).reshape(-1, len(float_cols))
+    p, q = len(f_cols), len(g_cols)
+    return Replicate(v_f=np.ascontiguousarray(table[:, :p]),
+                     v_g=np.ascontiguousarray(table[:, p:p + q]),
+                     labels=np.array(labels, dtype=np.int64) if has_label else None,
+                     target_logits=table[:, p + q].copy(),
+                     true_prob=table[:, p + q + 1].copy() if has_prob else None)
 
 
 # ----------------------------------------------------------- config schema

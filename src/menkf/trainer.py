@@ -171,11 +171,15 @@ def init_ensemble(cfg: MenkfConfig, layout: StateLayout, rng: RngStream) -> Ense
 
 def arm_averaged_logits(members: np.ndarray, v_f, v_g, layout: StateLayout,
                         spec_f: ArmSpec, spec_g: ArmSpec) -> np.ndarray:
-    """Per-member convex combination of the two arm outputs, (N, rows)."""
+    """Per-member convex combination of the two arm outputs, (N, rows),
+    formed in place so that no third (N, rows) array is allocated."""
     out_f = forward_batch(spec_f, members[:, layout.wf_slice], v_f)
     out_g = forward_batch(spec_g, members[:, layout.wg_slice], v_g)
     weight_g = sigmoid(members[:, layout.a_index])[:, None]
-    return (1.0 - weight_g) * out_f + weight_g * out_g
+    out_f *= 1.0 - weight_g
+    out_g *= weight_g
+    out_f += out_g
+    return out_f
 
 
 def measure(e: Ensemble, batch: Batch, layout: StateLayout,

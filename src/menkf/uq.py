@@ -15,7 +15,6 @@ import numpy as np
 from .arms import ArmSpec, StateLayout
 from .enkf import Ensemble
 from .exceptions import DimensionError, InvalidInputError
-from .numerics import empirical_quantile
 from .trainer import arm_averaged_logits, sigmoid
 
 
@@ -33,35 +32,52 @@ class PredictionSummary:
         return self.hi - self.lo
 
 
+def interval_arrays(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
+                    spec_g: ArmSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Predictive draws and 95% intervals of every input row at once.
+
+    Returns (draws, point, lo, hi): the (N, rows) member probabilities,
+    and per row the member mean and the empirical 2.5% and 97.5%
+    quantiles. Each equals np.mean and numerics.empirical_quantile of
+    that row's draws bit for bit: both reduce one contiguous row at a
+    time, as the scalar rule does.
+    """
+    draws = sigmoid(arm_averaged_logits(e.members, np.asarray(v_f, dtype=float),
+                                        np.asarray(v_g, dtype=float),
+                                        layout, spec_f, spec_g))
+    by_row = draws.T.copy()  # a C-ordered copy, which the quantile may reorder
+    point = by_row.mean(axis=1)
+    lo, hi = np.quantile(by_row, [0.025, 0.975], axis=1, overwrite_input=True)
+    return draws, point, lo, hi
+
+
 def predict(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
             spec_g: ArmSpec) -> list[PredictionSummary]:
     """Per-row predictive summaries from the ensemble, one per input row;
     the point estimate is the member mean."""
-    probs = sigmoid(arm_averaged_logits(e.members, np.asarray(v_f, dtype=float),
-                                        np.asarray(v_g, dtype=float),
-                                        layout, spec_f, spec_g))
-    summaries = []
-    for j in range(probs.shape[1]):
-        draws = probs[:, j].copy()
-        summaries.append(PredictionSummary(
-            draws=draws,
-            point=float(np.mean(draws)),
-            lo=empirical_quantile(draws, 0.025),
-            hi=empirical_quantile(draws, 0.975),
-        ))
-    return summaries
+    draws, point, lo, hi = interval_arrays(e, v_f, v_g, layout, spec_f, spec_g)
+    return [PredictionSummary(draws=draws[:, j].copy(), point=p, lo=l, hi=h)
+            for j, (p, l, h) in enumerate(zip(point.tolist(), lo.tolist(), hi.tolist()))]
+
+
+def _bounds(summaries: list[PredictionSummary], *names: str) -> list[np.ndarray]:
+    return [np.array([getattr(s, name) for s in summaries], dtype=float) for name in names]
+
+
+def _coverage(lo: np.ndarray, hi: np.ndarray, truth) -> float:
+    """Fraction of truths inside their closed intervals [lo, hi]."""
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != lo.shape:
+        raise DimensionError(
+            f"truth length {truth.shape} does not match {lo.size} intervals")
+    if lo.size == 0:
+        raise InvalidInputError("coverage of zero intervals is undefined")
+    return float(np.mean((lo <= truth) & (truth <= hi)))
 
 
 def coverage(summaries: list[PredictionSummary], truth) -> float:
     """Fraction of truths inside their closed intervals [lo, hi]."""
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != (len(summaries),):
-        raise DimensionError(
-            f"truth length {truth.shape} does not match {len(summaries)} summaries")
-    if len(summaries) == 0:
-        raise InvalidInputError("coverage of zero summaries is undefined")
-    hits = [s.lo <= t <= s.hi for s, t in zip(summaries, truth)]
-    return float(np.mean(hits))
+    return _coverage(*_bounds(summaries, "lo", "hi"), truth)
 
 
 @dataclass
@@ -70,6 +86,9 @@ class AdequacyReport:
 
     mean_arm_weight is the ensemble mean of sigmoid(a) — the weight on
     the second arm; the first arm carries 1 - mean_arm_weight.
+    frac_wide (intervals at least 0.99 wide) and frac_contains_half
+    (intervals holding 0.5) flag coverage that comes from intervals
+    too wide to say anything.
     """
 
     coverage: float
@@ -77,22 +96,30 @@ class AdequacyReport:
     mae: float
     mean_arm_weight: float
     n_test: int
+    frac_wide: float
+    frac_contains_half: float
 
     def to_dict(self) -> dict:
         return {**dataclasses.asdict(self), "arm_f_weight": 1.0 - self.mean_arm_weight}
 
 
+def interval_adequacy(point: np.ndarray, lo: np.ndarray, hi: np.ndarray, truth,
+                      e: Ensemble, layout: StateLayout) -> AdequacyReport:
+    """Coverage, width, point error, sharpness and arm weight in one report."""
+    truth = np.asarray(truth, dtype=float)
+    width = hi - lo
+    return AdequacyReport(
+        coverage=_coverage(lo, hi, truth),
+        avg_width=float(np.mean(width)),
+        mae=float(np.mean(np.abs(point - truth))),
+        mean_arm_weight=float(np.mean(sigmoid(e.members[:, layout.a_index]))),
+        n_test=lo.size,
+        frac_wide=float(np.mean(width >= 0.99)),
+        frac_contains_half=float(np.mean((lo <= 0.5) & (0.5 <= hi))),
+    )
+
+
 def adequacy(summaries: list[PredictionSummary], truth, e: Ensemble,
              layout: StateLayout) -> AdequacyReport:
-    """Coverage, width, point error, and arm weight in one report."""
-    truth = np.asarray(truth, dtype=float)
-    cov = coverage(summaries, truth)
-    widths = [s.width for s in summaries]
-    errors = [abs(s.point - t) for s, t in zip(summaries, truth)]
-    return AdequacyReport(
-        coverage=cov,
-        avg_width=float(np.mean(widths)),
-        mae=float(np.mean(errors)),
-        mean_arm_weight=float(np.mean(sigmoid(e.members[:, layout.a_index]))),
-        n_test=len(summaries),
-    )
+    """interval_adequacy of a list of per-row summaries."""
+    return interval_adequacy(*_bounds(summaries, "point", "lo", "hi"), truth, e, layout)

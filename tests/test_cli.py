@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -14,7 +15,9 @@ from menkf.cli import (_RNG_BASE, _RNG_REPLICATES, _RNG_SPLIT, RunConfig,
 from menkf.exceptions import ConfigError
 from menkf.numerics import RngStream
 from menkf.simgen import gen_base_probs, gen_replicates, split
-from menkf.storage import from_dict, read_json, to_dict, verify_manifest
+from menkf.storage import (from_dict, load_checkpoint, read_json, to_dict,
+                           verify_manifest, write_rows_csv)
+from menkf.uq import predict
 
 TINY = {
     "seed": 0,
@@ -244,6 +247,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{narrow}: emb_f_* block has 1 columns, the checkpoint expects 2" in err
 
+    def test_aliased_block_column(self, tmp_path, capsys):
+        # emb_f_01 would otherwise be read as emb_f_1 and replace it
+        config = write_config(tmp_path)  # p = q = 2
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
+        assert main(["train", "--config", config,
+                     "--dataset", str(tmp_path / "replicates" / "rep_000.csv"),
+                     "--output-dir", str(tmp_path / "fit")]) == 0
+        data = tmp_path / "aliased.csv"
+        data.write_text("emb_f_0,emb_f_1,emb_f_01,emb_g_0,emb_g_1,target_logit\n"
+                        "0.1,0.2,999.0,0.3,0.4,-0.2\n")
+        for args in (["train", "--config", config],
+                     ["evaluate", "--checkpoint", str(tmp_path / "fit" / "checkpoint.menkf")]):
+            capsys.readouterr()
+            assert main(args + ["--dataset", str(data),
+                                "--output-dir", str(tmp_path / "out")]) == 1
+            assert "bad column name 'emb_f_01'" in capsys.readouterr().err
+
     def test_label_outside_int64(self, tmp_path, capsys):
         config = write_config(tmp_path)
         data = tmp_path / "big_label.csv"
@@ -290,10 +310,39 @@ class TestPipeline:
                   "--dataset", str(reps[1]), "--output-dir", str(eval_dir)])
         report = read_json(eval_dir / "report.json")
         assert set(report) == {"coverage", "avg_width", "mae", "mean_arm_weight",
-                               "arm_f_weight", "n_test"}
+                               "arm_f_weight", "n_test", "frac_wide",
+                               "frac_contains_half"}
         assert report["n_test"] == 12
         intervals = (eval_dir / "intervals.csv").read_text().splitlines()
         assert len(intervals) == 13
+
+    def test_intervals_equal_rows_from_predict(self, tmp_path):
+        # evaluate's intervals.csv against predict on blocks parsed here, each
+        # C-contiguous; a block in another memory order moves points at rounding level
+        doc = dict(TINY, sim={"m": 400, "replicates": 1, "p": 32, "q": 32})
+        config = write_config(tmp_path, doc)
+        self.run(["simulate", "--config", config, "--output-dir", str(tmp_path / "sim")])
+        data = tmp_path / "sim" / "replicates" / "rep_000.csv"
+        self.run(["train", "--config", config, "--dataset", str(data),
+                  "--output-dir", str(tmp_path / "fit")])
+        self.run(["evaluate", "--checkpoint", str(tmp_path / "fit" / "checkpoint.menkf"),
+                  "--dataset", str(data), "--output-dir", str(tmp_path / "ev")])
+
+        with open(data, newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        table = np.array([[float(x) for x in row] for row in body])
+        block = lambda prefix: np.ascontiguousarray(
+            table[:, [i for i, name in enumerate(header) if name.startswith(prefix)]])
+        ensemble, mcfg = load_checkpoint(tmp_path / "fit" / "checkpoint.menkf")
+        summaries = predict(ensemble, block("emb_f_"), block("emb_g_"), mcfg.layout(),
+                            mcfg.arm_f, mcfg.arm_g)
+        truth = table[:, header.index("true_prob")]
+        expected = tmp_path / "expected.csv"
+        write_rows_csv(expected, [{"row": j, "point": s.point, "lo": s.lo, "hi": s.hi,
+                                   "width": s.width, "true_prob": float(t)}
+                                  for j, (s, t) in enumerate(zip(summaries, truth))],
+                       ["row", "point", "lo", "hi", "width", "true_prob"])
+        assert (tmp_path / "ev" / "intervals.csv").read_bytes() == expected.read_bytes()
 
     def test_simulate_is_reproducible(self, tmp_path):
         config = write_config(tmp_path)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 import typing
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from menkf.arms import ArmSpec
 from menkf.cli import RunConfig, main
@@ -73,6 +75,44 @@ class TestDatasetCsv:
         assert loaded.target_logits[0] == -0.2
 
 
+def per_cell_csv(rep: Replicate) -> bytes:
+    """Reference writer: one repr(float(x)) per cell, CRLF line ends."""
+    lines = [",".join(dataset_header(rep.v_f.shape[1], rep.v_g.shape[1]))]
+    for i in range(rep.size):
+        cells = [*rep.v_f[i], *rep.v_g[i], rep.target_logits[i], rep.true_prob[i]]
+        lines.append(",".join([repr(float(x)) for x in cells] + [str(int(rep.labels[i]))]))
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def replicates(draw):
+    n, p, q = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    col = lambda k: hnp.arrays(float, (n, k) if k else n, elements=FINITE)
+    return Replicate(v_f=draw(col(p)), v_g=draw(col(q)),
+                     labels=draw(hnp.arrays(np.int64, n)),
+                     target_logits=draw(col(0)), true_prob=draw(col(0)))
+
+
+class TestDatasetCsvProperties:
+    # huge values make a row sum overflow, which must not be taken for a bad cell
+    @given(replicates())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_is_bitwise_with_contiguous_blocks(self, tmp_path_factory, rep):
+        path = tmp_path_factory.mktemp("rt") / "data.csv"
+        write_dataset_csv(path, rep)
+        assert path.read_bytes() == per_cell_csv(rep)
+        loaded = read_dataset_csv(path)
+        for got, want in ((loaded.v_f, rep.v_f), (loaded.v_g, rep.v_g),
+                          (loaded.target_logits, rep.target_logits),
+                          (loaded.true_prob, rep.true_prob), (loaded.labels, rep.labels)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # -0.0 and subnormals included
+            assert got.flags.c_contiguous
+
+
 class TestDatasetCsvErrors:
     def write(self, tmp_path, text):
         path = tmp_path / "bad.csv"
@@ -134,6 +174,37 @@ class TestDatasetCsvErrors:
         with pytest.raises(DataFormatError,
                            match="column 'target_logit' appears more than once"):
             read_dataset_csv(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("name", ["emb_f_01", "emb_f_ 1", "emb_f_+1", "emb_f_-0",
+                                      "emb_g_00", "emb_f_0_1"])
+    def test_noncanonical_block_index_rejected(self, tmp_path, name):
+        # int() reads emb_f_01 as 1, so it used to replace the real emb_f_1
+        text = (f"emb_f_0,emb_f_1,{name},emb_g_0,target_logit\n"
+                "1.0,2.0,999.0,3.0,0.5\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"bad column name '{name}'")):
+            read_dataset_csv(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("column", ["emb_f_1", "emb_g_0", "target_logit",
+                                        "true_prob", "label"])
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_bad_cell_names_row_and_column(self, tmp_path, column, row):
+        rep = sample_replicate(n=7, p=2, q=2, seed=5)
+        good = tmp_path / "good.csv"
+        write_dataset_csv(good, rep)
+        lines = good.read_text().splitlines()
+        col = lines[0].split(",").index(column)
+        if column == "label":
+            kind = "an int64 integer"
+            cells = ("x", "1.5", "9223372036854775808", "-9223372036854775809")
+        else:
+            kind, cells = "a finite number", ("x", "nan", "inf", "-1e999")
+        for cell in cells:
+            fields = lines[1 + row].split(",")
+            fields[col] = cell
+            text = "\n".join(lines[:1 + row] + [",".join(fields)] + lines[2 + row:]) + "\n"
+            with pytest.raises(DataFormatError) as err:
+                read_dataset_csv(self.write(tmp_path, text))
+            assert f"row {row + 2}, column '{column}': '{cell}' is not {kind}" in str(err.value)
 
     def test_short_row_reports_count(self, tmp_path):
         text = "emb_f_0,emb_g_0,target_logit\n0.5,1.0\n"

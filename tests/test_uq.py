@@ -1,13 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from menkf.arms import ArmSpec, StateLayout
 from menkf.enkf import Ensemble
 from menkf.exceptions import DimensionError, InvalidInputError
-from menkf.numerics import RngStream
+from menkf.numerics import RngStream, empirical_quantile
 from menkf.trainer import (MenkfConfig, fit, init_ensemble, make_batches,
                            sigmoid)
-from menkf.uq import AdequacyReport, PredictionSummary, adequacy, coverage, predict
+from menkf.uq import (AdequacyReport, PredictionSummary, adequacy, coverage,
+                      interval_arrays, predict)
 
 LAYOUT = StateLayout(2, 2)
 SPEC = ArmSpec(1, (), "identity")
@@ -65,6 +71,53 @@ class TestPredict:
         assert np.all((s.draws >= 0.0) & (s.draws <= 1.0))
 
 
+def logit_table_ensemble(logits):
+    """An ensemble, inputs and arms whose member logits are exactly the
+    (N, rows) table: arm f is affine on one-hot rows with the table as
+    its weights, and a = -800 puts all weight on it."""
+    n, rows = logits.shape
+    spec_f, spec_g = ArmSpec(rows, (), "identity"), ArmSpec(1, (), "identity")
+    layout = StateLayout.from_specs(spec_f, spec_g)
+    members = np.zeros((n, layout.dim))
+    members[:, layout.wf_slice.start:layout.wf_slice.start + rows] = logits
+    members[:, layout.a_index] = -800.0
+    # the kernel reads only .members; an Ensemble would refuse N = 1
+    return (SimpleNamespace(members=members), np.eye(rows), np.zeros((rows, 1)),
+            layout, spec_f, spec_g)
+
+
+class TestIntervalArrays:
+    # a few repeated logits make tied draws; N = 1 and N = 2 are the edges
+    # of the quantile rule, and from N = 8 numpy's pairwise sum along a row
+    # departs from a plain sum down a column
+    @given(st.integers(1, 240).flatmap(lambda n: hnp.arrays(
+        float, st.tuples(st.just(n), st.integers(1, 9)),
+        elements=st.sampled_from([-2.0, 0.0, 0.5]) | st.floats(-40.0, 40.0))))
+    @example(np.array([[0.5, -2.0]]))
+    @example(np.array([[0.5, -2.0], [0.5, 3.0]]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_row_rule_bitwise(self, logits):
+        e, v_f, v_g, layout, spec_f, spec_g = logit_table_ensemble(logits)
+        draws, point, lo, hi = interval_arrays(e, v_f, v_g, layout, spec_f, spec_g)
+        assert draws.shape == logits.shape
+        np.testing.assert_array_equal(draws, sigmoid(logits))
+        for j in range(logits.shape[1]):
+            col = draws[:, j]
+            assert point[j] == float(np.mean(col.copy()))
+            assert lo[j] == empirical_quantile(col.copy(), 0.025)
+            assert hi[j] == empirical_quantile(col.copy(), 0.975)
+
+    def test_predict_wraps_the_arrays(self):
+        logits = np.random.default_rng(4).standard_normal((216, 5))
+        args = logit_table_ensemble(logits)
+        draws, point, lo, hi = interval_arrays(*args)
+        summaries = predict(*args)
+        assert [s.point for s in summaries] == point.tolist()
+        assert [(s.lo, s.hi) for s in summaries] == list(zip(lo.tolist(), hi.tolist()))
+        for j, s in enumerate(summaries):
+            np.testing.assert_array_equal(s.draws, draws[:, j])
+
+
 def summary(lo, hi, point=None):
     return PredictionSummary(draws=np.array([lo, hi]), point=point if point is not None else (lo + hi) / 2,
                              lo=lo, hi=hi)
@@ -108,10 +161,27 @@ class TestAdequacy:
 
     def test_to_dict_includes_both_arm_weights(self):
         d = AdequacyReport(coverage=1.0, avg_width=0.1, mae=0.05,
-                           mean_arm_weight=0.3, n_test=4).to_dict()
+                           mean_arm_weight=0.3, n_test=4, frac_wide=0.0,
+                           frac_contains_half=0.5).to_dict()
         assert d["arm_f_weight"] == pytest.approx(0.7)
         assert set(d) == {"coverage", "avg_width", "mae", "mean_arm_weight",
-                          "arm_f_weight", "n_test"}
+                          "arm_f_weight", "n_test", "frac_wide", "frac_contains_half"}
+
+    def test_sharpness_fractions(self):
+        # widths 0.99, 0.995, 0.2, 0.1: the first two count as wide, and
+        # 0.5 lies in the first, the second and (closed end) the last
+        sums = [summary(0.0, 0.99), summary(0.004, 0.999), summary(0.2, 0.4),
+                summary(0.5, 0.6)]
+        e = constant_ensemble([0.0, 0.0])
+        report = adequacy(sums, [0.5, 0.5, 0.3, 0.55], e, LAYOUT)
+        assert report.frac_wide == 0.5
+        assert report.frac_contains_half == 0.75
+        assert report.coverage == 1.0  # full coverage, half of it uninformative
+
+    def test_sharp_intervals_flag_nothing(self):
+        sums = [summary(0.1, 0.3), summary(0.6, 0.7)]
+        report = adequacy(sums, [0.2, 0.65], constant_ensemble([0.0, 0.0]), LAYOUT)
+        assert report.frac_wide == 0.0 and report.frac_contains_half == 0.0
 
     def test_mean_arm_weight_reads_ensemble(self):
         e = constant_ensemble([0.0, 0.0], a=40.0)  # all weight on arm g
