@@ -8,6 +8,10 @@ layer's biases. param_count gives the exact length; forward_batch
 accepts longer vectors and ignores the trailing entries, which is what
 lets a shorter arm live padded inside a shared state block.
 
+Every layer is z = act(z @ W + b), the output layer without act;
+forward_batch runs it for all members at once and matches each
+member's own pass bit for bit, whatever the layout of the input rows.
+
 A member vector is the column-major vec of the (n_pad + 2, 2) block
 
     [ w_f  w_g ]
@@ -61,7 +65,7 @@ def param_count(spec: ArmSpec) -> int:
 
 
 def _check_inputs(spec: ArmSpec, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    v = np.ascontiguousarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != spec.input_dim:
         raise DimensionError(
             f"inputs must be (rows, {spec.input_dim}), got {v.shape}")
@@ -74,6 +78,11 @@ def forward_batch(spec: ArmSpec, weights, v) -> np.ndarray:
     weights is (N, >= param_count), one flat parameter vector per row;
     entries past param_count(spec) are padding and are ignored. Returns
     (N, rows).
+
+    Each layer is the per-member z @ W + b, matmul broadcasting the rows
+    over the (N, fan_in, fan_out) weight stack. v is taken C-ordered;
+    weights need only each member's parameters contiguous, as in any
+    column slice of a C-ordered member matrix.
     """
     v = _check_inputs(spec, v)
     weights = np.asarray(weights, dtype=float)
@@ -83,7 +92,7 @@ def forward_batch(spec: ArmSpec, weights, v) -> np.ndarray:
             f"weights must be (N, >={need}), got {weights.shape}")
     n = weights.shape[0]
     act = _ACTIVATIONS[spec.activation]
-    z = None
+    z = v
     offset = 0
     layers = spec.layer_dims()
     for k, (fan_in, fan_out) in enumerate(layers):
@@ -91,12 +100,8 @@ def forward_batch(spec: ArmSpec, weights, v) -> np.ndarray:
         offset += fan_in * fan_out
         # column-major per member: entry (i, j) sits at j * fan_in + i
         weight = block.reshape(n, fan_out, fan_in).transpose(0, 2, 1)
-        bias = weights[:, offset:offset + fan_out]
+        z = z @ weight + weights[:, None, offset:offset + fan_out]
         offset += fan_out
-        if z is None:
-            z = np.einsum("mi,nio->nmo", v, weight) + bias[:, None, :]
-        else:
-            z = np.einsum("nmi,nio->nmo", z, weight) + bias[:, None, :]
         if k < len(layers) - 1:
             z = act(z)
     return z[:, :, 0]

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .arms import ArmSpec
-from .exceptions import ConfigError, DataFormatError, MenkfError
+from .exceptions import ConfigError, DataFormatError, InvalidInputError, MenkfError
 from .numerics import RngStream
 from .simgen import SCENARIOS, Replicate, SimConfig, gen_base_probs, gen_replicates, split
 from .storage import (from_dict, load_checkpoint, read_dataset_csv, read_json,
@@ -86,6 +86,11 @@ class SplitSettings:
 
     train_n: int = 66
     test_n: int = 8
+
+    def __post_init__(self):
+        for name in ("train_n", "test_n"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -238,6 +243,9 @@ def _study_worker(args) -> tuple[int, dict | None, str | None]:
 
 def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
                         parallel: bool | None = None) -> int:
+    if cfg.train_n + cfg.test_n > cfg.sim.m:
+        raise ConfigError(f"split.train_n + split.test_n = {cfg.train_n} + {cfg.test_n} "
+                          f"exceeds sim.m = {cfg.sim.m} rows per replicate")
     out = Path(output_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     use_parallel = cfg.parallel if parallel is None else parallel

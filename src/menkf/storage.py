@@ -339,18 +339,6 @@ def write_manifest(path, seed: int, scenario: str, files: dict) -> None:
     write_json(path, manifest)
 
 
-def verify_manifest(path) -> list[str]:
-    """Names of manifest entries whose checksum no longer matches."""
-    manifest = read_json(path)
-    base = Path(path).parent
-    bad = []
-    for name, digest in manifest.get("files", {}).items():
-        target = base / name
-        if not target.exists() or sha256_file(target) != digest:
-            bad.append(name)
-    return bad
-
-
 # ------------------------------------------------------------- flat tables
 
 def write_rows_csv(path, rows: list[dict], columns: list[str]) -> None:

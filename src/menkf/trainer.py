@@ -212,8 +212,6 @@ def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
     rng children: 0 drives the (optional) transition jitter, 1 drives the
     observation perturbations, drawn as one (N, m) block.
     """
-    if batch.v_f.shape[1] != cfg.arm_f.input_dim or batch.v_g.shape[1] != cfg.arm_g.input_dim:
-        raise DimensionError("batch feature widths do not match the arm specs")
     members = _jittered(e.members, cfg, layout, rng.child(0))
     _apply_fixed(members, cfg, layout)
     predictions = arm_averaged_logits(members, batch.v_f, batch.v_g, layout,
@@ -269,7 +267,7 @@ def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, TrainingTr
     for pass_index in range(cfg.passes_over_data):
         order = list(range(len(batches)))
         if cfg.shuffle_batches:
-            order = list(rng.child(1).child(pass_index).generator().permutation(len(batches)))
+            order = rng.child(1).child(pass_index).generator().permutation(len(batches)).tolist()
         for batch_index in order:
             batch = batches[batch_index]
             pre_mean = measure(ens, batch, layout, cfg.arm_f, cfg.arm_g).mean(axis=0)

@@ -42,9 +42,7 @@ def interval_arrays(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
     that row's draws bit for bit: both reduce one contiguous row at a
     time, as the scalar rule does.
     """
-    draws = sigmoid(arm_averaged_logits(e.members, np.asarray(v_f, dtype=float),
-                                        np.asarray(v_g, dtype=float),
-                                        layout, spec_f, spec_g))
+    draws = sigmoid(arm_averaged_logits(e.members, v_f, v_g, layout, spec_f, spec_g))
     by_row = draws.T.copy()  # a C-ordered copy, which the quantile may reorder
     point = by_row.mean(axis=1)
     lo, hi = np.quantile(by_row, [0.025, 0.975], axis=1, overwrite_input=True)

@@ -148,8 +148,29 @@ class TestForwardBatch:
         v = rng.standard_normal((6, spec.input_dim))
         batch = forward_batch(spec, weights, v)
         for i in range(n):
-            np.testing.assert_allclose(batch[i], forward(spec, weights[i], v),
-                                       atol=1e-12)
+            np.testing.assert_array_equal(batch[i], forward(spec, weights[i], v))
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([ArmSpec(3, (), "identity"), ArmSpec(12, (), "identity"),
+                            ArmSpec(4, (6,), "tanh"), ArmSpec(9, (16,), "tanh"),
+                            ArmSpec(2, (5, 3), "relu")]),
+           st.integers(1, 12), st.integers(1, 24), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_bits_do_not_depend_on_memory_layout(self, seed, spec, n, rows, lead):
+        # any layout of v, and weights as a C copy, a column slice of a wider
+        # member matrix or of a row-strided view of one, give the oracle's bits
+        rng = np.random.default_rng(seed)
+        cols = slice(lead, lead + param_count(spec))
+        members = rng.standard_normal((2 * n, cols.stop + 3))
+        v = rng.standard_normal((rows, spec.input_dim))
+        wide = np.ascontiguousarray(members[::2])
+        weights = np.ascontiguousarray(wide[:, cols])
+        expected = np.array([forward(spec, w, v) for w in weights])
+        inputs = (v, np.asfortranarray(v), np.repeat(v, 2, axis=1)[:, ::2])
+        stacks = (weights, wide[:, cols], members[::2, cols])
+        for v_any in inputs:
+            for w_any in stacks:
+                np.testing.assert_array_equal(forward_batch(spec, w_any, v_any), expected)
 
     def test_shape(self):
         spec = ArmSpec(2, (3,), "tanh")

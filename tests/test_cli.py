@@ -12,12 +12,13 @@ import pytest
 import menkf
 from menkf.cli import (_RNG_BASE, _RNG_REPLICATES, _RNG_SPLIT, RunConfig,
                        _aggregate_study, load_run_config, main, study_preset)
-from menkf.exceptions import ConfigError
+from menkf.exceptions import ConfigError, NumericError
 from menkf.numerics import RngStream
 from menkf.simgen import gen_base_probs, gen_replicates, split
-from menkf.storage import (from_dict, load_checkpoint, read_json, to_dict,
-                           verify_manifest, write_rows_csv)
+from menkf.storage import from_dict, load_checkpoint, read_json, to_dict, write_rows_csv
 from menkf.uq import predict
+
+from manifest_check import verify_manifest
 
 TINY = {
     "seed": 0,
@@ -274,14 +275,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "column 'label': '99999999999999999999' is not an int64 integer" in err
 
-    def test_study_with_failing_replicates(self, tmp_path, capsys):
-        doc = dict(TINY, split={"train_n": 20, "test_n": 8})  # exceeds m=12
-        config = write_config(tmp_path, doc)
-        code = main(["replicate-study", "--config", config,
+    def test_study_with_failing_replicates(self, tmp_path, monkeypatch):
+        def failing_fit(*args):
+            raise NumericError("forced failure")
+
+        monkeypatch.setattr("menkf.cli.fit", failing_fit)
+        code = main(["replicate-study", "--config", write_config(tmp_path),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2
         study = read_json(tmp_path / "out" / "study.json")
         assert sorted(study["failures"]) == ["0", "1"]
+
+    @pytest.mark.parametrize("sizes, named", [
+        ({"train_n": 15, "test_n": 0}, "split: test_n"),
+        ({"train_n": -1, "test_n": 8}, "split: train_n"),
+        ({"train_n": 15, "test_n": 10}, "split.train_n + split.test_n"),
+    ])
+    def test_impossible_split_sizes(self, tmp_path, capsys, sizes, named):
+        doc = dict(TINY, sim=dict(TINY["sim"], m=20), split=sizes)
+        assert main(["replicate-study", "--config", write_config(tmp_path, doc),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversize_split_leaves_simulate_alone(self, tmp_path):
+        doc = dict(TINY, sim=dict(TINY["sim"], m=20), split={"train_n": 15, "test_n": 10})
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--output-dir", str(tmp_path / "sim")]) == 0
 
 
 class TestPipeline:
@@ -317,8 +337,7 @@ class TestPipeline:
         assert len(intervals) == 13
 
     def test_intervals_equal_rows_from_predict(self, tmp_path):
-        # evaluate's intervals.csv against predict on blocks parsed here, each
-        # C-contiguous; a block in another memory order moves points at rounding level
+        # evaluate's intervals.csv against predict on blocks parsed here, in any memory order
         doc = dict(TINY, sim={"m": 400, "replicates": 1, "p": 32, "q": 32})
         config = write_config(tmp_path, doc)
         self.run(["simulate", "--config", config, "--output-dir", str(tmp_path / "sim")])
@@ -331,18 +350,19 @@ class TestPipeline:
         with open(data, newline="") as fh:
             header, *body = list(csv.reader(fh))
         table = np.array([[float(x) for x in row] for row in body])
-        block = lambda prefix: np.ascontiguousarray(
-            table[:, [i for i, name in enumerate(header) if name.startswith(prefix)]])
+        block = lambda prefix: table[:, [i for i, name in enumerate(header)
+                                         if name.startswith(prefix)]]
         ensemble, mcfg = load_checkpoint(tmp_path / "fit" / "checkpoint.menkf")
-        summaries = predict(ensemble, block("emb_f_"), block("emb_g_"), mcfg.layout(),
-                            mcfg.arm_f, mcfg.arm_g)
         truth = table[:, header.index("true_prob")]
-        expected = tmp_path / "expected.csv"
-        write_rows_csv(expected, [{"row": j, "point": s.point, "lo": s.lo, "hi": s.hi,
-                                   "width": s.width, "true_prob": float(t)}
-                                  for j, (s, t) in enumerate(zip(summaries, truth))],
-                       ["row", "point", "lo", "hi", "width", "true_prob"])
-        assert (tmp_path / "ev" / "intervals.csv").read_bytes() == expected.read_bytes()
+        for order in (np.asarray, np.asfortranarray):
+            summaries = predict(ensemble, order(block("emb_f_")), order(block("emb_g_")),
+                                mcfg.layout(), mcfg.arm_f, mcfg.arm_g)
+            expected = tmp_path / "expected.csv"
+            write_rows_csv(expected, [{"row": j, "point": s.point, "lo": s.lo, "hi": s.hi,
+                                       "width": s.width, "true_prob": float(t)}
+                                      for j, (s, t) in enumerate(zip(summaries, truth))],
+                           ["row", "point", "lo", "hi", "width", "true_prob"])
+            assert (tmp_path / "ev" / "intervals.csv").read_bytes() == expected.read_bytes()
 
     def test_simulate_is_reproducible(self, tmp_path):
         config = write_config(tmp_path)

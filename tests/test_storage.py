@@ -17,9 +17,11 @@ from menkf.exceptions import ConfigError, DataFormatError
 from menkf.simgen import Replicate
 from menkf.storage import (dataset_header, from_dict, load_checkpoint,
                            read_dataset_csv, save_checkpoint, sha256_file,
-                           to_dict, verify_manifest, write_dataset_csv,
-                           write_json, write_manifest, write_rows_csv)
+                           to_dict, write_dataset_csv, write_json, write_manifest,
+                           write_rows_csv)
 from menkf.trainer import MenkfConfig
+
+from manifest_check import verify_manifest
 
 
 def sample_replicate(n=5, p=2, q=3, seed=0):

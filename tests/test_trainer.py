@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -396,6 +397,8 @@ class TestFit:
         assert per_pass[0] != list(range(6)) or per_pass[1] != list(range(6))
         _, again = fit(batches, cfg, RngStream(13))
         assert [r.batch_index for r in again.records] == [r.batch_index for r in trace.records]
+        assert all(type(r.batch_index) is int for r in trace.records)
+        assert json.loads(json.dumps(trace.rows())) == trace.rows()
 
     def test_empty_batch_list_rejected(self):
         with pytest.raises(InvalidInputError):
