@@ -32,8 +32,8 @@ from .exceptions import ConfigError, DataFormatError, InvalidInputError, MenkfEr
 from .numerics import RngStream
 from .simgen import SCENARIOS, Replicate, SimConfig, gen_base_probs, gen_replicates, split
 from .storage import (from_dict, load_checkpoint, read_dataset_csv, read_json,
-                      save_checkpoint, to_dict, write_dataset_csv, write_json,
-                      write_manifest, write_rows_csv)
+                      save_checkpoint, to_dict, write_dataset_csv, write_intervals_csv,
+                      write_json, write_manifest, write_rows_csv)
 from .trainer import MenkfConfig, fit, make_batches, sigmoid
 from .uq import interval_adequacy, interval_arrays
 
@@ -184,16 +184,14 @@ def cmd_train(cfg: RunConfig, dataset_path: str, output_dir: str | None = None) 
     return 0
 
 
-def _evaluate_ensemble(ensemble, mcfg: MenkfConfig, data) -> tuple[dict, list]:
+def _evaluate_ensemble(ensemble, mcfg: MenkfConfig, data) -> tuple[dict, tuple]:
+    """The report and the (point, lo, hi, truth) arrays of one evaluation."""
     layout = mcfg.layout()
-    _, point, lo, hi = interval_arrays(ensemble, data.v_f, data.v_g, layout,
-                                       mcfg.arm_f, mcfg.arm_g)
+    point, lo, hi = interval_arrays(ensemble, data.v_f, data.v_g, layout,
+                                    mcfg.arm_f, mcfg.arm_g)
     truth = data.true_prob if data.true_prob is not None else sigmoid(data.target_logits)
     report = interval_adequacy(point, lo, hi, truth, ensemble, layout)
-    rows = [{"row": j, "point": p, "lo": l, "hi": h, "width": h - l, "true_prob": t}
-            for j, (p, l, h, t) in enumerate(zip(point.tolist(), lo.tolist(),
-                                                 hi.tolist(), truth.tolist()))]
-    return report.to_dict(), rows
+    return report.to_dict(), (point, lo, hi, truth)
 
 
 def cmd_evaluate(checkpoint_path: str, dataset_path: str, output_dir: str) -> int:
@@ -207,11 +205,10 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, output_dir: str) -> in
             raise DataFormatError(f"{dataset_path}: {block}* block has {found} columns, "
                                   f"the checkpoint expects {spec.input_dim}")
     started = time.perf_counter()
-    report, rows = _evaluate_ensemble(ensemble, mcfg, data)
+    report, arrays = _evaluate_ensemble(ensemble, mcfg, data)
     elapsed = time.perf_counter() - started
     write_json(out / "report.json", report)
-    write_rows_csv(out / "intervals.csv", rows,
-                   ["row", "point", "lo", "hi", "width", "true_prob"])
+    write_intervals_csv(out / "intervals.csv", *arrays)
     print(f"coverage {report['coverage']:.4f}, avg width {report['avg_width']:.4f}, "
           f"mae {report['mae']:.4f}, arm f weight {report['arm_f_weight']:.4f} "
           f"on {report['n_test']} rows")
@@ -276,10 +273,13 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
                    ["replicate", "coverage", "avg_width", "mae",
                     "mean_arm_weight", "arm_f_weight", "n_test"])
     elapsed = time.perf_counter() - started
-    print(f"study over {len(reps)} replicates: "
-          f"coverage {aggregates['coverage_pooled']:.4f} (pooled), "
-          f"avg width {aggregates['width_mean']:.4f}, "
-          f"arm f weight {aggregates['arm_f_weight_mean']:.4f}")
+    if rows:
+        print(f"study over {len(reps)} replicates: "
+              f"coverage {aggregates['coverage_pooled']:.4f} (pooled), "
+              f"avg width {aggregates['width_mean']:.4f}, "
+              f"arm f weight {aggregates['arm_f_weight_mean']:.4f}")
+    else:
+        print(f"study over {len(reps)} replicates: no replicate succeeded")
     print(f"[menkf] replicate-study took {elapsed:.2f}s", file=sys.stderr)
     if failures:
         print(f"{len(failures)} replicate(s) failed: "
@@ -289,11 +289,12 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
 
 
 def _aggregate_study(rows: list[dict]) -> dict:
+    """Study aggregates over the successful replicates; null (None) each
+    when there are none, which keeps study.json valid JSON."""
     if not rows:
-        return {"coverage_pooled": float("nan"), "coverage_mean": float("nan"),
-                "width_mean": float("nan"), "width_sd": float("nan"),
-                "mae_mean": float("nan"), "mean_arm_weight_mean": float("nan"),
-                "arm_f_weight_mean": float("nan"), "n_rows": 0}
+        return {"coverage_pooled": None, "coverage_mean": None, "width_mean": None,
+                "width_sd": None, "mae_mean": None, "mean_arm_weight_mean": None,
+                "arm_f_weight_mean": None, "n_rows": 0}
     coverages = np.array([r["coverage"] for r in rows])
     widths = np.array([r["avg_width"] for r in rows])
     n_tests = np.array([r["n_test"] for r in rows])

@@ -352,3 +352,13 @@ def write_rows_csv(path, rows: list[dict], columns: list[str]) -> None:
                 out.append(str(value) if isinstance(value, (int, np.integer))
                            else _fmt(value))
             writer.writerow(out)
+
+
+def write_intervals_csv(path, point, lo, hi, truth) -> None:
+    """intervals.csv: per row its index, point, lo, hi, width and true probability."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "point", "lo", "hi", "width", "true_prob"])
+        writer.writerows([str(j), repr(p), repr(l), repr(h), repr(h - l), repr(t)]
+                         for j, (p, l, h, t) in enumerate(zip(
+                             point.tolist(), lo.tolist(), hi.tolist(), truth.tolist())))

@@ -169,10 +169,20 @@ def init_ensemble(cfg: MenkfConfig, layout: StateLayout, rng: RngStream) -> Ense
     return Ensemble(members)
 
 
+def input_rows(v_f, v_g) -> int:
+    """Row count of the two arms' (rows, features) inputs, which must agree."""
+    shape_f, shape_g = np.shape(v_f), np.shape(v_g)
+    if len(shape_f) != 2 or len(shape_g) != 2 or shape_f[0] != shape_g[0]:
+        raise DimensionError(f"arm inputs must be 2-D with equal row counts, "
+                             f"got v_f {shape_f} and v_g {shape_g}")
+    return shape_f[0]
+
+
 def arm_averaged_logits(members: np.ndarray, v_f, v_g, layout: StateLayout,
                         spec_f: ArmSpec, spec_g: ArmSpec) -> np.ndarray:
     """Per-member convex combination of the two arm outputs, (N, rows),
     formed in place so that no third (N, rows) array is allocated."""
+    input_rows(v_f, v_g)
     out_f = forward_batch(spec_f, members[:, layout.wf_slice], v_f)
     out_g = forward_batch(spec_g, members[:, layout.wg_slice], v_g)
     weight_g = sigmoid(members[:, layout.a_index])[:, None]

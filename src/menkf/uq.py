@@ -5,6 +5,10 @@ through the logistic function gives a sample of probabilities whose
 empirical 2.5% and 97.5% quantiles form the 95% interval. No extra
 observation noise is added at prediction time — the spread is parameter
 uncertainty only.
+
+The rows are evaluated in blocks of _BLOCK_ROWS, so no array of member
+values holds more than N * _BLOCK_ROWS floats however many rows there
+are; each row's mean and quantiles are the per-row rule bit for bit.
 """
 
 import dataclasses
@@ -15,7 +19,11 @@ import numpy as np
 from .arms import ArmSpec, StateLayout
 from .enkf import Ensemble
 from .exceptions import DimensionError, InvalidInputError
-from .trainer import arm_averaged_logits, sigmoid
+from .trainer import arm_averaged_logits, input_rows, sigmoid
+
+# rows per evaluation block; a power of two, so a block ends on the
+# alignment an unblocked pass would have there
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -32,16 +40,12 @@ class PredictionSummary:
         return self.hi - self.lo
 
 
-def interval_arrays(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
-                    spec_g: ArmSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Predictive draws and 95% intervals of every input row at once.
-
-    Returns (draws, point, lo, hi): the (N, rows) member probabilities,
-    and per row the member mean and the empirical 2.5% and 97.5%
-    quantiles. Each equals np.mean and numerics.empirical_quantile of
-    that row's draws bit for bit: both reduce one contiguous row at a
-    time, as the scalar rule does.
-    """
+def _block_intervals(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
+                     spec_g: ArmSpec):
+    """(draws, point, lo, hi) of one block of rows: the (N, rows) member
+    probabilities, and per row the member mean and the empirical 2.5% and
+    97.5% quantiles. A function of its own so that its temporaries are
+    freed before the next block is computed."""
     draws = sigmoid(arm_averaged_logits(e.members, v_f, v_g, layout, spec_f, spec_g))
     by_row = draws.T.copy()  # a C-ordered copy, which the quantile may reorder
     point = by_row.mean(axis=1)
@@ -49,12 +53,41 @@ def interval_arrays(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
     return draws, point, lo, hi
 
 
+def _blocks(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
+            spec_g: ArmSpec):
+    """Yield (rows, draws, point, lo, hi) per block of at most _BLOCK_ROWS
+    input rows, rows being the block's slice of the inputs. The row counts
+    are checked first, so that a short last block cannot broadcast."""
+    for start in range(0, input_rows(v_f, v_g), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield rows, *_block_intervals(e, v_f[rows], v_g[rows], layout, spec_f, spec_g)
+
+
+def interval_arrays(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
+                    spec_g: ArmSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """95% intervals of every input row, as arrays.
+
+    Returns (point, lo, hi): per row the member mean and the empirical
+    2.5% and 97.5% quantiles of the member probabilities. The rows go
+    through in blocks of _BLOCK_ROWS, so memory beyond the outputs stays
+    bounded by N * _BLOCK_ROWS floats per array. Each value equals
+    np.mean and numerics.empirical_quantile of that row's draws bit for
+    bit: both reduce one contiguous row at a time, as the scalar rule does.
+    """
+    n = input_rows(v_f, v_g)
+    point, lo, hi = np.empty(n), np.empty(n), np.empty(n)
+    for rows, _, *bounds in _blocks(e, v_f, v_g, layout, spec_f, spec_g):
+        point[rows], lo[rows], hi[rows] = bounds
+    return point, lo, hi
+
+
 def predict(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
             spec_g: ArmSpec) -> list[PredictionSummary]:
     """Per-row predictive summaries from the ensemble, one per input row;
-    the point estimate is the member mean."""
-    draws, point, lo, hi = interval_arrays(e, v_f, v_g, layout, spec_f, spec_g)
+    the point estimate is the member mean. Equal to interval_arrays bit
+    for bit, and each summary keeps its row's draws."""
     return [PredictionSummary(draws=draws[:, j].copy(), point=p, lo=l, hi=h)
+            for _, draws, point, lo, hi in _blocks(e, v_f, v_g, layout, spec_f, spec_g)
             for j, (p, l, h) in enumerate(zip(point.tolist(), lo.tolist(), hi.tolist()))]
 
 

@@ -15,7 +15,8 @@ from menkf.cli import (_RNG_BASE, _RNG_REPLICATES, _RNG_SPLIT, RunConfig,
 from menkf.exceptions import ConfigError, NumericError
 from menkf.numerics import RngStream
 from menkf.simgen import gen_base_probs, gen_replicates, split
-from menkf.storage import from_dict, load_checkpoint, read_json, to_dict, write_rows_csv
+from menkf.storage import (from_dict, load_checkpoint, read_dataset_csv, read_json, to_dict,
+                           write_rows_csv)
 from menkf.uq import predict
 
 from manifest_check import verify_manifest
@@ -275,16 +276,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "column 'label': '99999999999999999999' is not an int64 integer" in err
 
-    def test_study_with_failing_replicates(self, tmp_path, monkeypatch):
+    def test_study_with_failing_replicates(self, tmp_path, monkeypatch, capsys):
         def failing_fit(*args):
             raise NumericError("forced failure")
+
+        def no_constants(token):
+            raise AssertionError(f"study.json holds the non-JSON token {token}")
 
         monkeypatch.setattr("menkf.cli.fit", failing_fit)
         code = main(["replicate-study", "--config", write_config(tmp_path),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2
-        study = read_json(tmp_path / "out" / "study.json")
+        assert "no replicate succeeded" in capsys.readouterr().out
+        text = (tmp_path / "out" / "study.json").read_text()
+        study = json.loads(text, parse_constant=no_constants)
         assert sorted(study["failures"]) == ["0", "1"]
+        assert study["aggregates"]["coverage_pooled"] is None
 
     @pytest.mark.parametrize("sizes, named", [
         ({"train_n": 15, "test_n": 0}, "split: test_n"),
@@ -364,6 +371,34 @@ class TestPipeline:
                            ["row", "point", "lo", "hi", "width", "true_prob"])
             assert (tmp_path / "ev" / "intervals.csv").read_bytes() == expected.read_bytes()
 
+    def test_intervals_on_a_short_last_block(self, tmp_path):
+        # 1,025 rows: one full block and a one-row block, whose bits follow
+        # predict on that block alone; through tanh arms numpy's matmul sums
+        # a one-row input another way than a row of a larger one
+        doc = dict(TINY, sim={"m": 1025, "replicates": 1, "p": 32, "q": 32},
+                   trainer=dict(TINY["trainer"], hidden_dims_f=[16], hidden_dims_g=[16],
+                                activation="tanh"))
+        config = write_config(tmp_path, doc)
+        self.run(["simulate", "--config", config, "--output-dir", str(tmp_path / "sim")])
+        data = tmp_path / "sim" / "replicates" / "rep_000.csv"
+        self.run(["train", "--config", config, "--dataset", str(data),
+                  "--output-dir", str(tmp_path / "fit")])
+        self.run(["evaluate", "--checkpoint", str(tmp_path / "fit" / "checkpoint.menkf"),
+                  "--dataset", str(data), "--output-dir", str(tmp_path / "ev")])
+
+        rows = read_dataset_csv(data)
+        ensemble, mcfg = load_checkpoint(tmp_path / "fit" / "checkpoint.menkf")
+        summaries = [s for block in (slice(0, 1024), slice(1024, None))
+                     for s in predict(ensemble, rows.v_f[block], rows.v_g[block],
+                                      mcfg.layout(), mcfg.arm_f, mcfg.arm_g)]
+        expected = tmp_path / "expected.csv"
+        write_rows_csv(expected, [{"row": j, "point": s.point, "lo": s.lo, "hi": s.hi,
+                                   "width": s.width, "true_prob": t}
+                                  for j, (s, t) in enumerate(zip(summaries,
+                                                                 rows.true_prob.tolist()))],
+                       ["row", "point", "lo", "hi", "width", "true_prob"])
+        assert (tmp_path / "ev" / "intervals.csv").read_bytes() == expected.read_bytes()
+
     def test_simulate_is_reproducible(self, tmp_path):
         config = write_config(tmp_path)
         for name in ("one", "two"):
@@ -416,8 +451,8 @@ class TestPipeline:
 class TestAggregation:
     def test_empty_rows(self):
         agg = _aggregate_study([])
-        assert agg["n_rows"] == 0
-        assert np.isnan(agg["coverage_pooled"])
+        assert agg.pop("n_rows") == 0
+        assert set(agg.values()) == {None}
 
     def test_pooling_weights_by_test_size(self):
         rows = [

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +11,8 @@ from menkf.arms import ArmSpec, StateLayout
 from menkf.enkf import Ensemble
 from menkf.exceptions import DimensionError, InvalidInputError
 from menkf.numerics import RngStream, empirical_quantile
-from menkf.trainer import (MenkfConfig, fit, init_ensemble, make_batches,
-                           sigmoid)
+from menkf.trainer import (MenkfConfig, arm_averaged_logits, fit, init_ensemble,
+                           make_batches, sigmoid)
 from menkf.uq import (AdequacyReport, PredictionSummary, adequacy, coverage,
                       interval_arrays, predict)
 
@@ -98,10 +99,11 @@ class TestIntervalArrays:
     @settings(max_examples=150, deadline=None)
     def test_equals_per_row_rule_bitwise(self, logits):
         e, v_f, v_g, layout, spec_f, spec_g = logit_table_ensemble(logits)
-        draws, point, lo, hi = interval_arrays(e, v_f, v_g, layout, spec_f, spec_g)
-        assert draws.shape == logits.shape
-        np.testing.assert_array_equal(draws, sigmoid(logits))
-        for j in range(logits.shape[1]):
+        point, lo, hi = interval_arrays(e, v_f, v_g, layout, spec_f, spec_g)
+        draws = sigmoid(logits)
+        assert point.shape == lo.shape == hi.shape == (logits.shape[1],)
+        for j, s in enumerate(predict(e, v_f, v_g, layout, spec_f, spec_g)):
+            np.testing.assert_array_equal(s.draws, draws[:, j])
             col = draws[:, j]
             assert point[j] == float(np.mean(col.copy()))
             assert lo[j] == empirical_quantile(col.copy(), 0.025)
@@ -110,12 +112,73 @@ class TestIntervalArrays:
     def test_predict_wraps_the_arrays(self):
         logits = np.random.default_rng(4).standard_normal((216, 5))
         args = logit_table_ensemble(logits)
-        draws, point, lo, hi = interval_arrays(*args)
+        point, lo, hi = interval_arrays(*args)
         summaries = predict(*args)
         assert [s.point for s in summaries] == point.tolist()
         assert [(s.lo, s.hi) for s in summaries] == list(zip(lo.tolist(), hi.tolist()))
         for j, s in enumerate(summaries):
-            np.testing.assert_array_equal(s.draws, draws[:, j])
+            np.testing.assert_array_equal(s.draws, sigmoid(logits[:, j]))
+
+    @pytest.mark.parametrize("rows_f, rows_g", [(5, 1), (1, 5), (5, 3), (1025, 1),
+                                                (1025, 1024)])
+    def test_row_count_mismatch_rejected(self, rows_f, rows_g):
+        # a one-row input must not broadcast against the other arm's rows
+        e = constant_ensemble([0.1, 0.4, -0.3])
+        v_f, v_g = np.zeros((rows_f, 1)), np.zeros((rows_g, 1))
+        named = rf"v_f \({rows_f}, 1\) and v_g \({rows_g}, 1\)"
+        for call in (interval_arrays, predict):
+            with pytest.raises(DimensionError, match=named):
+                call(e, v_f, v_g, LAYOUT, SPEC, SPEC)
+        with pytest.raises(DimensionError, match=named):
+            arm_averaged_logits(e.members, v_f, v_g, LAYOUT, SPEC, SPEC)
+
+
+def random_arms(spec, rows, seed, members=40):
+    """A random ensemble and random inputs for two equal arms."""
+    layout = StateLayout.from_specs(spec, spec)
+    gen = np.random.default_rng(seed)
+    members = gen.standard_normal((members, layout.dim))
+    v_f, v_g = gen.standard_normal((2, rows, spec.input_dim))
+    return Ensemble(members), v_f, v_g, layout, spec, spec
+
+
+class TestBlocks:
+    # rows on both sides of one and two blocks, and a short last block
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049, 3000])
+    @pytest.mark.parametrize("spec", [ArmSpec(3, (), "identity"), ArmSpec(3, (4,), "tanh")],
+                             ids=["affine", "tanh"])
+    def test_blocks_keep_the_per_row_rule(self, rows, spec):
+        args = random_arms(spec, rows, seed=rows)
+        point, lo, hi = interval_arrays(*args)
+        summaries = predict(*args)
+        assert [s.point for s in summaries] == point.tolist()
+        assert [s.lo for s in summaries] == lo.tolist()
+        assert [s.hi for s in summaries] == hi.tolist()
+        for s in summaries:
+            assert s.point == float(np.mean(s.draws))
+            assert s.lo == empirical_quantile(s.draws, 0.025)
+            assert s.hi == empirical_quantile(s.draws, 0.975)
+        # one unblocked pass over all rows agrees to rounding
+        e, v_f, v_g, layout, spec_f, spec_g = args
+        draws = sigmoid(arm_averaged_logits(e.members, v_f, v_g, layout, spec_f, spec_g))
+        whole = [draws.mean(axis=0), *np.quantile(draws, [0.025, 0.975], axis=0)]
+        for got, want in zip((point, lo, hi), whole):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    def test_memory_does_not_grow_with_rows(self):
+        # at N = 216 one (N, rows) float table is 1.7 KB per row; blocks keep
+        # the peak flat apart from the three (rows,) outputs
+        def peak(rows):
+            args = random_arms(ArmSpec(3, (), "identity"), rows, seed=0, members=216)
+            tracemalloc.start()
+            try:
+                interval_arrays(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1024)  # the first call in a process makes one-time allocations
+        assert peak(16384) - peak(4096) < 2**20
 
 
 def summary(lo, hi, point=None):
