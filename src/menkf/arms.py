@@ -29,10 +29,11 @@ import numpy as np
 
 from .exceptions import DimensionError, InvalidInputError
 
+# Each activation writes over its argument, a layer's own fresh array.
 _ACTIVATIONS = {
     "identity": lambda z: z,
-    "tanh": np.tanh,
-    "relu": lambda z: np.maximum(z, 0.0),
+    "tanh": lambda z: np.tanh(z, out=z),
+    "relu": lambda z: np.maximum(z, 0.0, out=z),
 }
 
 
@@ -80,9 +81,11 @@ def forward_batch(spec: ArmSpec, weights, v) -> np.ndarray:
     (N, rows).
 
     Each layer is the per-member z @ W + b, matmul broadcasting the rows
-    over the (N, fan_in, fan_out) weight stack. v is taken C-ordered;
-    weights need only each member's parameters contiguous, as in any
-    column slice of a C-ordered member matrix.
+    over the (N, fan_in, fan_out) weight stack; the bias and the activation
+    then work in place on that product, so neither v nor weights is ever
+    written. v is taken C-ordered; weights need only each member's
+    parameters contiguous, as in any column slice of a C-ordered member
+    matrix.
     """
     v = _check_inputs(spec, v)
     weights = np.asarray(weights, dtype=float)
@@ -100,7 +103,8 @@ def forward_batch(spec: ArmSpec, weights, v) -> np.ndarray:
         offset += fan_in * fan_out
         # column-major per member: entry (i, j) sits at j * fan_in + i
         weight = block.reshape(n, fan_out, fan_in).transpose(0, 2, 1)
-        z = z @ weight + weights[:, None, offset:offset + fan_out]
+        z = z @ weight
+        z += weights[:, None, offset:offset + fan_out]
         offset += fan_out
         if k < len(layers) - 1:
             z = act(z)

@@ -16,7 +16,6 @@ Wall-clock timings go to stderr only, for that reason.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -252,6 +251,7 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
     reps = gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
     jobs = [(j, rep, cfg) for j, rep in enumerate(reps)]
     if use_parallel and len(jobs) > 1:
+        import concurrent.futures  # only --parallel pays for it (and for logging)
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(os.cpu_count() or 1, len(jobs))) as pool:
             results = list(pool.map(_study_worker, jobs))

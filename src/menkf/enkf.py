@@ -112,7 +112,8 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     keep = eigvals > m * np.finfo(float).eps * max(eigvals[-1], 0.0)
     lam, basis = eigvals[keep], eigvecs[:, keep]
     shifts = ((residual @ basis) / (lam + obs_var[:, None])) @ (cross @ basis).T
-    return members + shifts
+    shifts += members  # the updated members, without a second (N, d) array
+    return shifts
 
 
 def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream) -> Ensemble:

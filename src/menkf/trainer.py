@@ -13,7 +13,8 @@ learning happens in the analysis step. The measurement map is nonlinear
 in the state, so the gain is taken from the sample covariance between
 each member and its own predicted observations (enkf.analysis); with a
 linear map this is exactly the textbook ensemble update, which is what
-the oracle tests check.
+the oracle tests check. Each step returns those predictions to fit,
+which logs the innovation from them, so a step costs one forward pass.
 """
 
 import math
@@ -194,36 +195,38 @@ def arm_averaged_logits(members: np.ndarray, v_f, v_g, layout: StateLayout,
 
 def measure(e: Ensemble, batch: Batch, layout: StateLayout,
             spec_f: ArmSpec, spec_g: ArmSpec) -> np.ndarray:
-    """Predicted observations for every member on one batch, (N, m)."""
+    """Predicted observations for every member on one batch, (N, m).
+
+    The public per-ensemble prediction helper; fit does not call it, as
+    each step hands fit the predictions its analysis used.
+    """
     return arm_averaged_logits(e.members, batch.v_f, batch.v_g, layout, spec_f, spec_g)
 
 
-def _jittered(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout,
+def _forecast(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout,
               rng: RngStream) -> np.ndarray:
+    """The forecast members: jittered from rng and with a and b pinned.
+
+    A copy is made only when jitter or pinning changes the members;
+    otherwise members itself is returned, and must not be written.
+    """
+    if cfg.jitter_var == 0.0 and cfg.fixed_arm_logit is None and cfg.fixed_noise_var is None:
+        return members
     members = members.copy()
     if cfg.jitter_var > 0.0:
         active = layout.active_indices()
         gen = rng.generator()
         members[:, active] += gen.normal(0.0, math.sqrt(cfg.jitter_var),
                                          size=(members.shape[0], active.size))
+    _apply_fixed(members, cfg, layout)
     return members
 
 
-def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
-               rng: RngStream, batch_index: int | None = None) -> Ensemble:
-    """One forecast-and-analysis step on one batch; returns a new ensemble.
-
-    The jittered members are shifted by enkf.analysis from their own
-    predicted logits, so the gain is Cov(state, pred) (Cov(pred, pred) +
-    var I)^-1. Every var > 0 keeps the solve well-posed, so there is no
-    fallback: a failed eigendecomposition is a NumericError naming the
-    batch.
-
-    rng children: 0 drives the (optional) transition jitter, 1 drives the
-    observation perturbations, drawn as one (N, m) block.
-    """
-    members = _jittered(e.members, cfg, layout, rng.child(0))
-    _apply_fixed(members, cfg, layout)
+def _step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
+          rng: RngStream, batch_index: int | None) -> tuple[Ensemble, np.ndarray]:
+    """train_step, also returning the forecast members' (N, m) predicted
+    logits that the analysis used."""
+    members = _forecast(e.members, cfg, layout, rng.child(0))
     predictions = arm_averaged_logits(members, batch.v_f, batch.v_g, layout,
                                       cfg.arm_f, cfg.arm_g)
     obs_var = softplus(members[:, layout.b_index])
@@ -235,13 +238,32 @@ def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
             f"observation covariance block failed to decompose{where}") from err
     layout.apply_structural_zeros(updated)
     _apply_fixed(updated, cfg, layout)
-    return Ensemble(updated)
+    return Ensemble(updated), predictions
+
+
+def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
+               rng: RngStream, batch_index: int | None = None) -> Ensemble:
+    """One forecast-and-analysis step on one batch; returns a new ensemble
+    and leaves e as it was.
+
+    The forecast members (jittered, a and b pinned) are shifted by
+    enkf.analysis from their own predicted logits, so the gain is
+    Cov(state, pred) (Cov(pred, pred) + var I)^-1. Every var > 0 keeps
+    the solve well-posed, so there is no fallback: a failed
+    eigendecomposition is a NumericError naming the batch.
+
+    rng children: 0 drives the (optional) transition jitter, 1 drives the
+    observation perturbations, drawn as one (N, m) block.
+    """
+    return _step(e, batch, cfg, layout, rng, batch_index)[0]
 
 
 @dataclass
 class TraceRecord:
     """Per-batch diagnostics; arm weight and noise variance are read from
-    the post-update ensemble mean, the innovation from the pre-update one."""
+    the post-update ensemble mean, and the innovation is
+    ||y - mean(predictions)|| over the step's forecast members (after
+    jitter and pinning, before the update)."""
 
     step: int
     pass_index: int
@@ -280,9 +302,9 @@ def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, TrainingTr
             order = rng.child(1).child(pass_index).generator().permutation(len(batches)).tolist()
         for batch_index in order:
             batch = batches[batch_index]
-            pre_mean = measure(ens, batch, layout, cfg.arm_f, cfg.arm_g).mean(axis=0)
-            innovation = float(np.linalg.norm(batch.y - pre_mean))
-            ens = train_step(ens, batch, cfg, layout, rng.child(2 + step), batch_index)
+            ens, predictions = _step(ens, batch, cfg, layout, rng.child(2 + step),
+                                     batch_index)
+            innovation = float(np.linalg.norm(batch.y - predictions.mean(axis=0)))
             trace.records.append(TraceRecord(
                 step=step,
                 pass_index=pass_index,

@@ -146,7 +146,10 @@ class TestForwardBatch:
         n = 9
         weights = rng.standard_normal((n, param_count(spec) + 2))
         v = rng.standard_normal((6, spec.input_dim))
+        before = weights.tobytes(), v.tobytes()
         batch = forward_batch(spec, weights, v)
+        # the bias and the activation work in place, on the layer's product only
+        assert (weights.tobytes(), v.tobytes()) == before
         for i in range(n):
             np.testing.assert_array_equal(batch[i], forward(spec, weights[i], v))
 

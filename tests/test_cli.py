@@ -141,15 +141,23 @@ class TestDefaults:
         assert agg["mae_mean"] < constant_mae
 
 
+def run_python(code):
+    """Run code in a fresh interpreter that finds this menkf first, as the
+    acceptance gate's run_cli does; returns its stripped stdout."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(menkf.__file__).resolve().parents[1]),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestImports:
     def test_cli_imports_numpy_only(self):
         # importing the CLI loads modules of no installed distribution but
-        # numpy (and menkf, when installed); the child gets the same
-        # PYTHONPATH as the acceptance gate's run_cli
-        env = os.environ.copy()
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(menkf.__file__).resolve().parents[1]),
-                          env.get("PYTHONPATH")]))
+        # numpy (and menkf, when installed)
         code = ("import sys, importlib.metadata as md\n"
                 "before = set(sys.modules)\n"
                 "import menkf.cli\n"
@@ -158,10 +166,14 @@ class TestImports:
                 "         - set(sys.stdlib_module_names))\n"
                 "print(sorted({d for m in added for d in owners.get(m, [])}"
                 " - {'numpy', 'menkf'}))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert run_python(code) == "[]"
+
+    def test_process_pool_is_imported_only_for_parallel_studies(self):
+        # concurrent.futures pulls in logging; only --parallel needs either
+        code = ("import sys\n"
+                "import menkf.cli\n"
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        assert run_python(code) == "[]"
 
 
 class TestExitCodes:

@@ -12,7 +12,7 @@ from menkf.enkf import Ensemble, enkf_update
 from menkf.exceptions import DimensionError, InvalidInputError, NumericError
 from menkf.kalman import kf_forecast, kf_update
 from menkf.numerics import RngStream, vec
-from menkf.trainer import (Batch, MenkfConfig, _apply_fixed, _jittered,
+from menkf.trainer import (Batch, MenkfConfig, _apply_fixed, _forecast,
                            arm_averaged_logits, build_vec_operator, fit,
                            init_ensemble, inv_softplus, linear_reference_system,
                            make_batches, measure, sigmoid, softplus, train_step)
@@ -40,8 +40,7 @@ def train_step_explicit(e: Ensemble, batch: Batch, cfg: MenkfConfig,
     operator kron([1, 1], [I_m, 0]). Matches train_step to floating-point
     noise when given the same rng.
     """
-    members = _jittered(e.members, cfg, layout, rng.child(0))
-    _apply_fixed(members, cfg, layout)
+    members = _forecast(e.members, cfg, layout, rng.child(0))
     weight_g = sigmoid(members[:, layout.a_index])[:, None]
     out_f = (1.0 - weight_g) * forward_batch(cfg.arm_f, members[:, layout.wf_slice], batch.v_f)
     out_g = weight_g * forward_batch(cfg.arm_g, members[:, layout.wg_slice], batch.v_g)
@@ -262,14 +261,24 @@ class TestMakeBatches:
             Batch(np.array([[np.inf, 0.0]]), np.ones((1, 2)), np.ones(1))
 
 
+PINNED = {"fixed_arm_logit": 0.2, "fixed_noise_var": 0.5}
+STEP_CASES = {"plain": {}, "jitter": {"jitter_var": 0.05}, "pinned": PINNED,
+              "jitter_pinned": {"jitter_var": 0.05, **PINNED}}
+ARM_PAIRS = {"affine": (ArmSpec(2, (), "identity"), ArmSpec(2, (), "identity")),
+             "tanh": (ArmSpec(2, (3,), "tanh"), ArmSpec(2, (2,), "tanh"))}
+
+
 class TestTrainStep:
-    def test_input_ensemble_not_mutated(self):
-        cfg = linear_config()
-        layout = cfg.layout()
-        e = init_ensemble(cfg, layout, RngStream(0))
-        before = e.members.copy()
-        train_step(e, toy_batch(), cfg, layout, RngStream(1))
-        np.testing.assert_array_equal(e.members, before)
+    @pytest.mark.parametrize("settings", STEP_CASES.values(), ids=STEP_CASES.keys())
+    def test_input_ensemble_not_mutated(self, settings):
+        # the members are drawn unpinned, so pinning has something to change;
+        # a step without jitter or pinning forecasts from them uncopied
+        layout = linear_config().layout()
+        e = init_ensemble(linear_config(), layout, RngStream(0))
+        members, before = e.members, e.members.tobytes()
+        out = train_step(e, toy_batch(), linear_config(**settings), layout, RngStream(1))
+        assert e.members is members and members.tobytes() == before
+        assert not np.shares_memory(out.members, members)
 
     def test_zero_spread_is_fixed_point(self):
         cfg = linear_config(ensemble_size=30)
@@ -356,6 +365,75 @@ class TestTrainStep:
         e = init_ensemble(cfg, layout, RngStream(0))
         with pytest.raises(DimensionError):
             train_step(e, toy_batch(p=3, q=2), cfg, layout, RngStream(1))
+
+
+def replayed_innovations(batches, cfg, root):
+    """Each step's innovation recomputed outside fit from its forecast
+    members: the pre-update members plus the jitter drawn from
+    root.child(2 + t).child(0), with a and b pinned."""
+    layout = cfg.layout()
+    ens = init_ensemble(cfg, layout, root.child(0))
+    norms = []
+    for t, batch in enumerate(batches):
+        stream = root.child(2 + t)
+        members = ens.members.copy()
+        if cfg.jitter_var > 0.0:
+            active = layout.active_indices()
+            members[:, active] += stream.child(0).generator().normal(
+                0.0, math.sqrt(cfg.jitter_var), size=(cfg.ensemble_size, active.size))
+        _apply_fixed(members, cfg, layout)
+        predictions = arm_averaged_logits(members, batch.v_f, batch.v_g, layout,
+                                          cfg.arm_f, cfg.arm_g)
+        norms.append(float(np.linalg.norm(batch.y - predictions.mean(axis=0))))
+        ens = train_step(ens, batch, cfg, layout, stream)
+    return norms
+
+
+class TestOneForwardPassPerStep:
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+    @pytest.mark.parametrize("arms", ARM_PAIRS.values(), ids=ARM_PAIRS.keys())
+    def test_fit_runs_each_arm_once_per_step(self, monkeypatch, arms, shuffle):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr("menkf.trainer.forward_batch", counted)
+        cfg = MenkfConfig(arm_f=arms[0], arm_g=arms[1], ensemble_size=20, init_var=1.0,
+                          batch_size=4, passes_over_data=2, jitter_var=0.01,
+                          shuffle_batches=shuffle)
+        gen = np.random.default_rng(4)
+        batches = make_batches(gen.standard_normal((10, 2)), gen.standard_normal((10, 2)),
+                               gen.standard_normal(10), cfg.batch_size)
+        _, trace = fit(batches, cfg, RngStream(3))
+        assert len(trace.records) == 6
+        assert calls == [arms[0], arms[1]] * len(trace.records)
+
+    @pytest.mark.parametrize("arms", ARM_PAIRS.values(), ids=ARM_PAIRS.keys())
+    def test_innovation_is_taken_from_the_forecast_members(self, arms):
+        cfg = MenkfConfig(arm_f=arms[0], arm_g=arms[1], ensemble_size=30, init_var=2.0,
+                          batch_size=4, jitter_var=0.05, **PINNED)
+        batches = [toy_batch(rows=4, seed=s) for s in range(3)]
+        _, trace = fit(batches, cfg, RngStream(17))
+        got = [r.innovation_norm for r in trace.records]
+        assert got == replayed_innovations(batches, cfg, RngStream(17))
+
+    def test_jitter_free_innovation_is_the_pre_update_one(self):
+        # without jitter the forecast members are the pre-update members,
+        # so the logged value is ||y - mean(measure(pre-update))|| bit for bit
+        cfg = linear_config(ensemble_size=30, batch_size=4)
+        layout = cfg.layout()
+        batches = [toy_batch(rows=4, seed=s) for s in range(3)]
+        root = RngStream(19)
+        _, trace = fit(batches, cfg, root)
+        ens = init_ensemble(cfg, layout, root.child(0))
+        expected = []
+        for t, batch in enumerate(batches):
+            pre_mean = measure(ens, batch, layout, cfg.arm_f, cfg.arm_g).mean(axis=0)
+            expected.append(float(np.linalg.norm(batch.y - pre_mean)))
+            ens = train_step(ens, batch, cfg, layout, root.child(2 + t))
+        assert [r.innovation_norm for r in trace.records] == expected
 
 
 class TestFit:
