@@ -31,8 +31,8 @@ from .exceptions import ConfigError, DataFormatError, InvalidInputError, MenkfEr
 from .numerics import RngStream
 from .simgen import SCENARIOS, Replicate, SimConfig, gen_base_probs, gen_replicates, split
 from .storage import (from_dict, load_checkpoint, read_dataset_csv, read_json,
-                      save_checkpoint, to_dict, write_dataset_csv, write_intervals_csv,
-                      write_json, write_manifest, write_rows_csv)
+                      save_checkpoint, to_dict, write_dataset_csv, write_json,
+                      write_manifest, write_rows_csv)
 from .trainer import MenkfConfig, fit, make_batches, sigmoid
 from .uq import interval_adequacy, interval_arrays
 
@@ -172,9 +172,7 @@ def cmd_train(cfg: RunConfig, dataset_path: str, output_dir: str | None = None) 
     ensemble, trace = fit(batches, mcfg, RngStream(cfg.seed).child(_RNG_TRAIN))
     elapsed = time.perf_counter() - started
     save_checkpoint(out / "checkpoint.menkf", ensemble, mcfg)
-    write_rows_csv(out / "trace.csv", trace.rows(),
-                   ["step", "pass_index", "batch_index", "weight_g",
-                    "noise_var", "innovation_norm"])
+    write_rows_csv(out / "trace.csv", trace.columns())
     last = trace.records[-1]
     print(f"trained on {data.size} rows ({len(batches)} batches); "
           f"final arm weights f={1.0 - last.weight_g:.4f} g={last.weight_g:.4f}, "
@@ -204,10 +202,12 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, output_dir: str) -> in
             raise DataFormatError(f"{dataset_path}: {block}* block has {found} columns, "
                                   f"the checkpoint expects {spec.input_dim}")
     started = time.perf_counter()
-    report, arrays = _evaluate_ensemble(ensemble, mcfg, data)
+    report, (point, lo, hi, truth) = _evaluate_ensemble(ensemble, mcfg, data)
     elapsed = time.perf_counter() - started
     write_json(out / "report.json", report)
-    write_intervals_csv(out / "intervals.csv", *arrays)
+    write_rows_csv(out / "intervals.csv", {"row": np.arange(point.size), "point": point,
+                                           "lo": lo, "hi": hi, "width": hi - lo,
+                                           "true_prob": truth})
     print(f"coverage {report['coverage']:.4f}, avg width {report['avg_width']:.4f}, "
           f"mae {report['mae']:.4f}, arm f weight {report['arm_f_weight']:.4f} "
           f"on {report['n_test']} rows")
@@ -257,7 +257,6 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
             results = list(pool.map(_study_worker, jobs))
     else:
         results = [_study_worker(job) for job in jobs]
-    results.sort(key=lambda r: r[0])
 
     rows = [row for _, row, err in results if err is None]
     failures = {str(j): err for j, _, err in results if err is not None}
@@ -269,9 +268,10 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
         "n_replicates": len(reps),
     }
     write_json(out / "study.json", study)
-    write_rows_csv(out / "study.csv", rows,
-                   ["replicate", "coverage", "avg_width", "mae",
-                    "mean_arm_weight", "arm_f_weight", "n_test"])
+    write_rows_csv(out / "study.csv", {
+        name: [row[name] for row in rows]
+        for name in ("replicate", "coverage", "avg_width", "mae",
+                     "mean_arm_weight", "arm_f_weight", "n_test")})
     elapsed = time.perf_counter() - started
     if rows:
         print(f"study over {len(reps)} replicates: "

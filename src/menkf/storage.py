@@ -11,12 +11,11 @@ Checkpoint binary layout (little-endian):
     bytes 0..7    magic b"MENKFCKP"
     u32           format version (currently 1)
     u64           header length in bytes
-    header        UTF-8 JSON: config, n_members, dim, dtype ("<f8"),
-                  config_sha256
+    header        UTF-8 JSON object of the _Header schema, keys sorted
     body          n_members * dim float64 values, row-major
 
-The body round-trips bitwise; loading re-hashes the embedded config and
-refuses a checkpoint whose header was edited.
+The body round-trips bitwise; loading reads the header with from_dict,
+re-hashes the embedded config and refuses a header that was edited.
 
 Config dataclasses (the run config, the trainer config, arm specs) map
 to JSON through to_dict / from_dict, driven by the dataclass fields and
@@ -57,10 +56,6 @@ def read_json(path) -> dict:
         return json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------- datasets
@@ -245,16 +240,28 @@ def _config_hash(cfg_dict: dict) -> str:
 
 # -------------------------------------------------------------- checkpoint
 
+@dataclasses.dataclass(frozen=True)
+class _Header:
+    """The checkpoint header's JSON schema; every key is required."""
+
+    config: MenkfConfig
+    config_sha256: str
+    n_members: int
+    dim: int
+    dtype: str
+
+    def __post_init__(self):
+        for name in ("n_members", "dim"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.dtype != "<f8":
+            raise InvalidInputError(f"unsupported dtype {self.dtype!r}")
+
+
 def save_checkpoint(path, ensemble: Ensemble, cfg: MenkfConfig) -> None:
-    cfg_dict = to_dict(cfg)
-    header = {
-        "config": cfg_dict,
-        "config_sha256": _config_hash(cfg_dict),
-        "n_members": ensemble.size,
-        "dim": ensemble.dim,
-        "dtype": "<f8",
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
+    header = _Header(config=cfg, config_sha256=_config_hash(to_dict(cfg)),
+                     n_members=ensemble.size, dim=ensemble.dim, dtype="<f8")
+    header_bytes = json.dumps(to_dict(header), sort_keys=True).encode()
     body = np.ascontiguousarray(ensemble.members, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -278,45 +285,25 @@ def load_checkpoint(path) -> tuple[Ensemble, MenkfConfig]:
     if offset + header_len > len(raw):
         raise DataFormatError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[offset:offset + header_len].decode())
+        doc = json.loads(raw[offset:offset + header_len].decode())
+        header = from_dict(_Header, doc, "header")
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise DataFormatError(f"{path}: corrupt header ({err})") from err
-    if not isinstance(header, dict):
-        raise DataFormatError(f"{path}: header is not a JSON object")
-    offset += header_len
-    if header.get("dtype") != "<f8":
-        raise DataFormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    n = _header_field(header, "n_members", _is_count, "a positive integer", path)
-    d = _header_field(header, "dim", _is_count, "a positive integer", path)
-    cfg_doc = _header_field(header, "config", lambda v: isinstance(v, dict),
-                            "an object", path)
-    if header.get("config_sha256") != _config_hash(cfg_doc):
+    except ConfigError as err:
+        raise DataFormatError(f"{path}: {err}") from err
+    if header.config_sha256 != _config_hash(doc["config"]):
         raise DataFormatError(f"{path}: config hash mismatch")
-    expected = n * d * 8
-    body = raw[offset:]
-    if len(body) != expected:
-        raise DataFormatError(f"{path}: body is {len(body)} bytes, expected {expected}")
+    n, d, cfg = header.n_members, header.dim, header.config
+    body = raw[offset + header_len:]
+    if len(body) != n * d * 8:
+        raise DataFormatError(f"{path}: body is {len(body)} bytes, expected {n * d * 8}")
     try:
-        cfg = from_dict(MenkfConfig, cfg_doc, "config")
         ensemble = Ensemble(np.frombuffer(body, dtype="<f8").reshape(n, d).copy())
-    except (ConfigError, InvalidInputError) as err:
+    except InvalidInputError as err:
         raise DataFormatError(f"{path}: {err}") from err
     if cfg.layout().dim != d:
         raise DataFormatError(f"{path}: config layout dim {cfg.layout().dim} != stored dim {d}")
     return ensemble, cfg
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value > 0
-
-
-def _header_field(header: dict, key: str, valid, expected: str, path):
-    if key not in header:
-        raise DataFormatError(f"{path}: header field {key!r} is missing")
-    if not valid(header[key]):
-        raise DataFormatError(f"{path}: header field {key!r} must be {expected}, "
-                              f"got {json.dumps(header[key])}")
-    return header[key]
 
 
 # --------------------------------------------------------------- manifests
@@ -341,24 +328,14 @@ def write_manifest(path, seed: int, scenario: str, files: dict) -> None:
 
 # ------------------------------------------------------------- flat tables
 
-def write_rows_csv(path, rows: list[dict], columns: list[str]) -> None:
+def write_rows_csv(path, columns: dict) -> None:
+    """A table of equal-length columns, keyed by header name in order.
+
+    Every cell is a Python int or float after tolist(), written by repr,
+    so that it reads back bitwise; unequal column lengths raise ValueError.
+    """
+    cells = [np.asarray(column).tolist() for column in columns.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            out = []
-            for col in columns:
-                value = row[col]
-                out.append(str(value) if isinstance(value, (int, np.integer))
-                           else _fmt(value))
-            writer.writerow(out)
-
-
-def write_intervals_csv(path, point, lo, hi, truth) -> None:
-    """intervals.csv: per row its index, point, lo, hi, width and true probability."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "point", "lo", "hi", "width", "true_prob"])
-        writer.writerows([str(j), repr(p), repr(l), repr(h), repr(h - l), repr(t)]
-                         for j, (p, l, h, t) in enumerate(zip(
-                             point.tolist(), lo.tolist(), hi.tolist(), truth.tolist())))
+        writer.writerows(map(repr, row) for row in zip(*cells, strict=True))

@@ -18,7 +18,7 @@ which logs the innovation from them, so a step costs one forward pass.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -277,8 +277,10 @@ class TraceRecord:
 class TrainingTrace:
     records: list = field(default_factory=list)
 
-    def rows(self) -> list[dict]:
-        return [vars(r).copy() for r in self.records]
+    def columns(self) -> dict:
+        """One column per TraceRecord field, in field order."""
+        return {f.name: [getattr(r, f.name) for r in self.records]
+                for f in fields(TraceRecord)}
 
 
 def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, TrainingTrace]:

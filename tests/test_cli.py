@@ -377,10 +377,12 @@ class TestPipeline:
             summaries = predict(ensemble, order(block("emb_f_")), order(block("emb_g_")),
                                 mcfg.layout(), mcfg.arm_f, mcfg.arm_g)
             expected = tmp_path / "expected.csv"
-            write_rows_csv(expected, [{"row": j, "point": s.point, "lo": s.lo, "hi": s.hi,
-                                       "width": s.width, "true_prob": float(t)}
-                                      for j, (s, t) in enumerate(zip(summaries, truth))],
-                           ["row", "point", "lo", "hi", "width", "true_prob"])
+            write_rows_csv(expected, {"row": range(len(summaries)),
+                                      "point": [s.point for s in summaries],
+                                      "lo": [s.lo for s in summaries],
+                                      "hi": [s.hi for s in summaries],
+                                      "width": [s.width for s in summaries],
+                                      "true_prob": truth})
             assert (tmp_path / "ev" / "intervals.csv").read_bytes() == expected.read_bytes()
 
     def test_intervals_on_a_short_last_block(self, tmp_path):
@@ -404,11 +406,12 @@ class TestPipeline:
                      for s in predict(ensemble, rows.v_f[block], rows.v_g[block],
                                       mcfg.layout(), mcfg.arm_f, mcfg.arm_g)]
         expected = tmp_path / "expected.csv"
-        write_rows_csv(expected, [{"row": j, "point": s.point, "lo": s.lo, "hi": s.hi,
-                                   "width": s.width, "true_prob": t}
-                                  for j, (s, t) in enumerate(zip(summaries,
-                                                                 rows.true_prob.tolist()))],
-                       ["row", "point", "lo", "hi", "width", "true_prob"])
+        write_rows_csv(expected, {"row": range(len(summaries)),
+                                  "point": [s.point for s in summaries],
+                                  "lo": [s.lo for s in summaries],
+                                  "hi": [s.hi for s in summaries],
+                                  "width": [s.width for s in summaries],
+                                  "true_prob": rows.true_prob})
         assert (tmp_path / "ev" / "intervals.csv").read_bytes() == expected.read_bytes()
 
     def test_simulate_is_reproducible(self, tmp_path):

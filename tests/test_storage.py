@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import re
@@ -370,13 +371,18 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("n_members", None, "'n_members' is missing"),
-        ("n_members", "x", "'n_members' must be a positive integer"),
-        ("n_members", True, "'n_members' must be a positive integer"),
-        ("dim", None, "'dim' is missing"),
-        ("dim", 70.0, "'dim' must be a positive integer"),
-        ("config", None, "'config' is missing"),
-        ("config", [1], "'config' must be an object"),
+        ("n_members", None, r"header: missing keys \['n_members'\]"),
+        ("n_members", "x", 'header.n_members: expected an integer, got "x"'),
+        ("n_members", True, "header.n_members: expected an integer, got true"),
+        ("dim", None, r"header: missing keys \['dim'\]"),
+        ("dim", 70.0, "header.dim: expected an integer, got 70.0"),
+        ("config", None, r"header: missing keys \['config'\]"),
+        ("config", [1], r"header.config: expected an object, got \[1\]"),
+        ("extra", 1, r"header: unknown keys \['extra'\]"),
+        ("dtype", None, r"header: missing keys \['dtype'\]"),
+        ("dtype", "<f4", "header: unsupported dtype '<f4'"),
+        ("n_members", 0, "header: n_members must be >= 1, got 0"),
+        ("dim", 0, "header: dim must be >= 1, got 0"),
     ])
     def test_malformed_header_field(self, tmp_path, field, value, message):
         path, *_ = self.roundtrip(tmp_path)
@@ -424,11 +430,66 @@ class TestManifest:
                                      "b00361a396177a9cb410ff61f20015ad")
 
 
+FINITE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([5e-324, -5e-324, 2.225e-308, -0.0, 1.7e308, -1.7e308]))
+INT64S = st.integers(min_value=-2**63, max_value=2**63 - 1)
+
+
+@st.composite
+def table_columns(draw):
+    """(columns, values): columns in every form write_rows_csv takes, and
+    the Python int or float each cell must read back as."""
+    n = draw(st.integers(0, 12))
+    columns, values = {}, {}
+    for i in range(draw(st.integers(1, 5))):
+        form = draw(st.sampled_from(["ints", "int64", "range", "float64", "scalars"]))
+        if form == "range":
+            start, step = draw(st.integers(-2**40, 2**40)), draw(st.integers(1, 9))
+            column = range(start, start + n * step, step)
+            cells = list(column)
+        else:
+            cells = draw(st.lists(INT64S if form in ("ints", "int64") else FINITE_FLOATS,
+                                  min_size=n, max_size=n))
+            column = (cells if form == "ints"
+                      else np.array(cells, dtype=np.int64) if form == "int64"
+                      else np.array(cells, dtype=np.float64) if form == "float64"
+                      else [np.float64(v) for v in cells])
+        columns[f"c{i}"], values[f"c{i}"] = column, cells
+    return columns, values
+
+
 class TestRowsCsv:
     def test_int_and_float_formatting(self, tmp_path):
         path = tmp_path / "rows.csv"
-        write_rows_csv(path, [{"step": 3, "value": 0.1}], ["step", "value"])
+        write_rows_csv(path, {"step": [3], "value": [0.1]})
         assert path.read_bytes() == b"step,value\r\n3,0.1\r\n"
+
+    @given(table_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_every_cell_reads_back_bitwise(self, tmp_path_factory, table):
+        columns, values = table
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        write_rows_csv(path, columns)
+        with open(path, newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        assert header == list(columns)
+        assert len(body) == len(next(iter(values.values())))
+        for j, name in enumerate(header):
+            for row, expected in zip(body, values[name]):
+                assert "np." not in row[j]
+                if isinstance(expected, int):
+                    assert int(row[j]) == expected
+                else:
+                    got = float(row[j])
+                    assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+    @given(st.integers(0, 6), st.integers(1, 4), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_unequal_columns_raise(self, tmp_path_factory, n, extra, longer_first):
+        lengths = (n + extra, n) if longer_first else (n, n + extra)
+        columns = {"a": np.zeros(lengths[0]), "b": range(lengths[1])}
+        with pytest.raises(ValueError):
+            write_rows_csv(tmp_path_factory.mktemp("rows") / "rows.csv", columns)
 
     def test_json_write_is_stable(self, tmp_path):
         path = tmp_path / "doc.json"

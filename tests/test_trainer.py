@@ -476,7 +476,7 @@ class TestFit:
         _, again = fit(batches, cfg, RngStream(13))
         assert [r.batch_index for r in again.records] == [r.batch_index for r in trace.records]
         assert all(type(r.batch_index) is int for r in trace.records)
-        assert json.loads(json.dumps(trace.rows())) == trace.rows()
+        assert json.loads(json.dumps(trace.columns())) == trace.columns()
 
     def test_empty_batch_list_rejected(self):
         with pytest.raises(InvalidInputError):
