@@ -370,14 +370,22 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="hash mismatch"):
             load_checkpoint(path)
 
+    # the first seven cases keep ids that name the rule each one breaks
     @pytest.mark.parametrize("field, value, message", [
-        ("n_members", None, r"header: missing keys \['n_members'\]"),
-        ("n_members", "x", 'header.n_members: expected an integer, got "x"'),
-        ("n_members", True, "header.n_members: expected an integer, got true"),
-        ("dim", None, r"header: missing keys \['dim'\]"),
-        ("dim", 70.0, "header.dim: expected an integer, got 70.0"),
-        ("config", None, r"header: missing keys \['config'\]"),
-        ("config", [1], r"header.config: expected an object, got \[1\]"),
+        pytest.param("n_members", None, r"header: missing keys \['n_members'\]",
+                     id="n_members-None-'n_members' is missing"),
+        pytest.param("n_members", "x", 'header.n_members: expected an integer, got "x"',
+                     id="n_members-x-'n_members' must be a positive integer"),
+        pytest.param("n_members", True, "header.n_members: expected an integer, got true",
+                     id="n_members-True-'n_members' must be a positive integer"),
+        pytest.param("dim", None, r"header: missing keys \['dim'\]",
+                     id="dim-None-'dim' is missing"),
+        pytest.param("dim", 70.0, "header.dim: expected an integer, got 70.0",
+                     id="dim-70.0-'dim' must be a positive integer"),
+        pytest.param("config", None, r"header: missing keys \['config'\]",
+                     id="config-None-'config' is missing"),
+        pytest.param("config", [1], r"header.config: expected an object, got \[1\]",
+                     id="config-value6-'config' must be an object"),
         ("extra", 1, r"header: unknown keys \['extra'\]"),
         ("dtype", None, r"header: missing keys \['dtype'\]"),
         ("dtype", "<f4", "header: unsupported dtype '<f4'"),
