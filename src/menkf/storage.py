@@ -6,7 +6,8 @@ are serialized with repr (shortest round-trip), JSON keys are sorted,
 and no timestamps or absolute paths are embedded — so byte-for-byte
 comparison of outputs is a meaningful reproducibility check.
 
-Checkpoint binary layout (little-endian):
+Checkpoint binary layout (little-endian); the first three fields are the
+one struct _PREFIX, packed on save and unpacked on load:
 
     bytes 0..7    magic b"MENKFCKP"
     u32           format version (currently 1)
@@ -15,7 +16,8 @@ Checkpoint binary layout (little-endian):
     body          n_members * dim float64 values, row-major
 
 The body round-trips bitwise; loading reads the header with from_dict,
-re-hashes the embedded config and refuses a header that was edited.
+which refuses counts that disagree with the embedded config, re-hashes
+the config and refuses a header that was edited.
 
 Config dataclasses (the run config, the trainer config, arm specs) map
 to JSON through to_dict / from_dict, driven by the dataclass fields and
@@ -44,6 +46,7 @@ from .trainer import MenkfConfig
 
 _MAGIC = b"MENKFCKP"
 _VERSION = 1
+_PREFIX = struct.Struct("<8sIQ")  # magic, format version, header length
 _INT64 = np.iinfo(np.int64)
 
 
@@ -66,12 +69,9 @@ def dataset_header(p: int, q: int) -> list[str]:
 
 
 def write_dataset_csv(path, rep: Replicate) -> None:
-    values = np.column_stack([rep.v_f, rep.v_g, rep.target_logits, rep.true_prob])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset_header(rep.v_f.shape[1], rep.v_g.shape[1]))
-        writer.writerows([*map(repr, row), str(int(label))]
-                         for row, label in zip(values.tolist(), rep.labels.tolist()))
+    header = dataset_header(rep.v_f.shape[1], rep.v_g.shape[1])
+    write_rows_csv(path, dict(zip(header, [*rep.v_f.T, *rep.v_g.T, rep.target_logits,
+                                           rep.true_prob, rep.labels], strict=True)))
 
 
 def _block_columns(header: list[str], prefix: str, path) -> list[int]:
@@ -256,6 +256,12 @@ class _Header:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dtype != "<f8":
             raise InvalidInputError(f"unsupported dtype {self.dtype!r}")
+        if self.n_members != self.config.ensemble_size:
+            raise InvalidInputError(f"n_members {self.n_members} != config ensemble_size "
+                                    f"{self.config.ensemble_size}")
+        layout_dim = self.config.layout().dim
+        if self.dim != layout_dim:
+            raise InvalidInputError(f"dim {self.dim} != config layout dim {layout_dim}")
 
 
 def save_checkpoint(path, ensemble: Ensemble, cfg: MenkfConfig) -> None:
@@ -263,47 +269,40 @@ def save_checkpoint(path, ensemble: Ensemble, cfg: MenkfConfig) -> None:
                      n_members=ensemble.size, dim=ensemble.dim, dtype="<f8")
     header_bytes = json.dumps(to_dict(header), sort_keys=True).encode()
     body = np.ascontiguousarray(ensemble.members, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
+    with open(path, "wb") as fh:  # three writes: concatenating would copy the body
+        fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header_bytes)))
         fh.write(header_bytes)
         fh.write(body)
 
 
 def load_checkpoint(path) -> tuple[Ensemble, MenkfConfig]:
     raw = Path(path).read_bytes()
-    if len(raw) < len(_MAGIC) + 12 or raw[:len(_MAGIC)] != _MAGIC:
+    if len(raw) < _PREFIX.size or not raw.startswith(_MAGIC):
         raise DataFormatError(f"{path}: not a checkpoint file")
-    offset = len(_MAGIC)
-    (version,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
+    _, version, header_len = _PREFIX.unpack_from(raw)
     if version != _VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
-    if offset + header_len > len(raw):
+    header_end = _PREFIX.size + header_len
+    if header_end > len(raw):
         raise DataFormatError(f"{path}: truncated header")
     try:
-        doc = json.loads(raw[offset:offset + header_len].decode())
+        doc = json.loads(raw[_PREFIX.size:header_end].decode())
         header = from_dict(_Header, doc, "header")
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise DataFormatError(f"{path}: corrupt header ({err})") from err
     except ConfigError as err:
         raise DataFormatError(f"{path}: {err}") from err
+    except ValueError as err:  # not UTF-8, not JSON, or an integer too long to parse
+        raise DataFormatError(f"{path}: corrupt header ({err})") from err
     if header.config_sha256 != _config_hash(doc["config"]):
         raise DataFormatError(f"{path}: config hash mismatch")
-    n, d, cfg = header.n_members, header.dim, header.config
-    body = raw[offset + header_len:]
+    n, d = header.n_members, header.dim
+    body = raw[header_end:]
     if len(body) != n * d * 8:
         raise DataFormatError(f"{path}: body is {len(body)} bytes, expected {n * d * 8}")
     try:
         ensemble = Ensemble(np.frombuffer(body, dtype="<f8").reshape(n, d).copy())
     except InvalidInputError as err:
         raise DataFormatError(f"{path}: {err}") from err
-    if cfg.layout().dim != d:
-        raise DataFormatError(f"{path}: config layout dim {cfg.layout().dim} != stored dim {d}")
-    return ensemble, cfg
+    return ensemble, header.config
 
 
 # --------------------------------------------------------------- manifests
@@ -333,9 +332,10 @@ def write_rows_csv(path, columns: dict) -> None:
 
     Every cell is a Python int or float after tolist(), written by repr,
     so that it reads back bitwise; unequal column lengths raise ValueError.
+    Lines are joined by hand and end in CRLF, as csv.writer's would: no
+    repr of a number and no menkf column name needs quoting.
     """
     cells = [np.asarray(column).tolist() for column in columns.values()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(map(repr, row) for row in zip(*cells, strict=True))
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*cells, strict=True))

@@ -168,6 +168,12 @@ class TestImports:
                 " - {'numpy', 'menkf'}))")
         assert run_python(code) == "[]"
 
+    def test_package_root_loads_no_submodule(self):
+        code = ("import sys\n"
+                "import menkf\n"
+                "print(sorted(m for m in sys.modules if m.startswith('menkf.')))")
+        assert run_python(code) == "[]"
+
     def test_process_pool_is_imported_only_for_parallel_studies(self):
         # concurrent.futures pulls in logging; only --parallel needs either
         code = ("import sys\n"

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import re
 import struct
@@ -14,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from menkf.arms import ArmSpec
 from menkf.cli import RunConfig, main
 from menkf.enkf import Ensemble
-from menkf.exceptions import ConfigError, DataFormatError
+from menkf.exceptions import ConfigError, DataFormatError, InvalidInputError
 from menkf.simgen import Replicate
 from menkf.storage import (dataset_header, from_dict, load_checkpoint,
                            read_dataset_csv, save_checkpoint, sha256_file,
@@ -316,6 +317,18 @@ class TestSchemaProperties:
         check_any_value(MenkfConfig, self.CKPT_DOC, path, value)
 
 
+def split_checkpoint(raw):
+    """The header object and the body bytes of a version-1 checkpoint."""
+    (header_len,) = struct.unpack_from("<Q", raw, 12)
+    return json.loads(raw[20:20 + header_len]), raw[20 + header_len:]
+
+
+def join_checkpoint(raw, header, body):
+    """raw's magic and version with another header and body."""
+    edited = json.dumps(header, sort_keys=True).encode()
+    return raw[:12] + struct.pack("<Q", len(edited)) + edited + body
+
+
 class TestCheckpoint:
     def roundtrip(self, tmp_path, cfg=None):
         cfg = cfg or sample_config()
@@ -391,31 +404,84 @@ class TestCheckpoint:
         ("dtype", "<f4", "header: unsupported dtype '<f4'"),
         ("n_members", 0, "header: n_members must be >= 1, got 0"),
         ("dim", 0, "header: dim must be >= 1, got 0"),
+        ("n_members", 3, "header: n_members 3 != config ensemble_size 8"),
+        ("dim", 47, "header: dim 47 != config layout dim 46"),
     ])
-    def test_malformed_header_field(self, tmp_path, field, value, message):
+    def test_malformed_header_field(self, tmp_path, capsys, field, value, message):
         path, *_ = self.roundtrip(tmp_path)
         raw = path.read_bytes()
-        (header_len,) = struct.unpack_from("<Q", raw, 12)
-        header = json.loads(raw[20:20 + header_len])
+        header, body = split_checkpoint(raw)
         if value is None:
             del header[field]
         else:
             header[field] = value
-        edited = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(raw[:12] + struct.pack("<Q", len(edited)) + edited
-                         + raw[20 + header_len:])
+        if type(value) is int and value >= 1 and field in ("n_members", "dim"):
+            # a body of the size the header claims, so that only the schema can refuse it
+            body = np.resize(np.frombuffer(body), header["n_members"] * header["dim"]).tobytes()
+        path.write_bytes(join_checkpoint(raw, header, body))
         with pytest.raises(DataFormatError, match=message):
             load_checkpoint(path)
         dataset = tmp_path / "data.csv"
         write_dataset_csv(dataset, sample_replicate())
+        capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(path), "--dataset", str(dataset),
                      "--output-dir", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("menkf: ") and err.count("\n") == 1, err
+
+    def test_save_refuses_an_ensemble_of_another_size(self, tmp_path):
+        cfg = sample_config()
+        members = np.zeros((cfg.ensemble_size + 1, cfg.layout().dim))
+        with pytest.raises(InvalidInputError, match="n_members 9 != config ensemble_size 8"):
+            save_checkpoint(tmp_path / "model.menkf", Ensemble(members), cfg)
+        assert not (tmp_path / "model.menkf").exists()
 
     def test_not_a_file_shape(self, tmp_path):
         path = tmp_path / "junk.menkf"
         path.write_bytes(b"short")
         with pytest.raises(DataFormatError, match="not a checkpoint"):
             load_checkpoint(path)
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    cfg = sample_config()
+    path = tmp_path_factory.mktemp("ckpt") / "model.menkf"
+    members = np.random.default_rng(1).standard_normal((cfg.ensemble_size, cfg.layout().dim))
+    save_checkpoint(path, Ensemble(members), cfg)
+    return path.read_bytes()
+
+
+def mutated(raw):
+    """Mutations of a valid checkpoint: truncation, one flipped byte, any u64
+    header length, or any header value replaced by any JSON scalar."""
+    header, body = split_checkpoint(raw)
+
+    def flip(at, mask):
+        return raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+
+    return st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda k: raw[:k]),
+        st.builds(flip, st.integers(0, len(raw) - 1), st.integers(1, 255)),
+        st.integers(0, 2**64 - 1).map(lambda n: raw[:12] + struct.pack("<Q", n) + raw[20:]),
+        st.builds(lambda path, value: join_checkpoint(raw, assign(header, path, value), body),
+                  st.sampled_from(sorted(key_paths(header))), JSON_SCALARS))
+
+
+class TestCheckpointFuzz:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_load_returns_or_raises_data_format_error(self, tmp_path_factory,
+                                                       checkpoint_bytes, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.menkf"
+        path.write_bytes(data.draw(mutated(checkpoint_bytes)))
+        try:
+            load_checkpoint(path)
+        except DataFormatError:
+            pass
 
 
 class TestManifest:
@@ -482,6 +548,12 @@ class TestRowsCsv:
             header, *body = list(csv.reader(fh))
         assert header == list(columns)
         assert len(body) == len(next(iter(values.values())))
+        # csv.writer would quote nothing here: the hand-joined lines are its bytes
+        oracle = io.StringIO()
+        writer = csv.writer(oracle)
+        writer.writerow(columns)
+        writer.writerows(zip(*([repr(v) for v in values[name]] for name in columns)))
+        assert path.read_bytes() == oracle.getvalue().encode()
         for j, name in enumerate(header):
             for row, expected in zip(body, values[name]):
                 assert "np." not in row[j]
