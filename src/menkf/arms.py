@@ -20,7 +20,7 @@ A member vector is the column-major vec of the (n_pad + 2, 2) block
 
 with each arm's weights zero-padded to n_pad = max(n_f, n_g). The pad
 tails and the two zeros under w_f never carry state; they are the
-layout's structural zeros and are re-zeroed after every update.
+layout's structural zeros, +0.0 from the draw on (see enkf.analysis).
 """
 
 from dataclasses import dataclass
@@ -169,10 +169,6 @@ class StateLayout:
         mask = np.ones(self.dim, dtype=bool)
         mask[self.active_indices()] = False
         return np.flatnonzero(mask)
-
-    def apply_structural_zeros(self, members: np.ndarray) -> None:
-        """Zero the non-state coordinates in place (members is (N, dim))."""
-        members[:, self.structural_zero_indices()] = 0.0
 
     def structural_zeros_ok(self, members: np.ndarray) -> bool:
         return bool(np.all(members[:, self.structural_zero_indices()] == 0.0))

@@ -8,7 +8,7 @@ from_dict): unknown keys and mistyped values are rejected. The
 MENKF_SEED environment variable, when set, overrides the configured seed.
 
 Exit codes: 0 success; 1 usage, configuration, or input-format
-errors; 2 runtime failures (numerical errors, I/O).
+errors; 2 runtime failures (numerical errors, I/O, out of memory).
 
 Every output file is deterministic given the configuration: rerunning
 a command reproduces it byte for byte, with or without parallelism.
@@ -142,10 +142,6 @@ def load_run_config(path) -> RunConfig:
 
 # ----------------------------------------------------------------- commands
 
-def _replicate_name(j: int) -> str:
-    return f"rep_{j:03d}.csv"
-
-
 def cmd_simulate(cfg: RunConfig, output_dir: str | None = None) -> int:
     out = Path(output_dir or cfg.output_dir)
     (out / "replicates").mkdir(parents=True, exist_ok=True)
@@ -154,7 +150,7 @@ def cmd_simulate(cfg: RunConfig, output_dir: str | None = None) -> int:
     reps = gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
     files = {}
     for j, rep in enumerate(reps):
-        rel = f"replicates/{_replicate_name(j)}"
+        rel = f"replicates/rep_{j:03d}.csv"
         write_dataset_csv(out / rel, rep)
         files[rel] = out / rel
     write_manifest(out / "manifest.json", cfg.seed, cfg.sim.scenario, files)
@@ -172,11 +168,11 @@ def cmd_train(cfg: RunConfig, dataset_path: str, output_dir: str | None = None) 
     ensemble, trace = fit(batches, mcfg, RngStream(cfg.seed).child(_RNG_TRAIN))
     elapsed = time.perf_counter() - started
     save_checkpoint(out / "checkpoint.menkf", ensemble, mcfg)
-    write_rows_csv(out / "trace.csv", trace.columns())
-    last = trace.records[-1]
+    write_rows_csv(out / "trace.csv", trace)
+    weight_g = trace["weight_g"][-1]
     print(f"trained on {data.size} rows ({len(batches)} batches); "
-          f"final arm weights f={1.0 - last.weight_g:.4f} g={last.weight_g:.4f}, "
-          f"noise var {last.noise_var:.4f}")
+          f"final arm weights f={1.0 - weight_g:.4f} g={weight_g:.4f}, "
+          f"noise var {trace['noise_var'][-1]:.4f}")
     print(f"[menkf] train took {elapsed:.2f}s", file=sys.stderr)
     return 0
 
@@ -377,11 +373,9 @@ def main(argv=None) -> int:
                              args.output_dir)
         if args.command == "evaluate":
             return cmd_evaluate(args.checkpoint, args.dataset, args.output_dir)
-        if args.command == "replicate-study":
-            return cmd_replicate_study(load_run_config(args.config),
-                                       args.output_dir, args.parallel)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except (ConfigError, DataFormatError, _UsageError) as err:
+        return cmd_replicate_study(load_run_config(args.config),
+                                   args.output_dir, args.parallel)
+    except (ConfigError, DataFormatError) as err:
         print(f"menkf: {err}", file=sys.stderr)
         return 1
     except MenkfError as err:
@@ -389,6 +383,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as err:
         print(f"menkf: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"menkf: out of memory: {err}", file=sys.stderr)
         return 2
 
 

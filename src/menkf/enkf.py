@@ -81,8 +81,9 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     obs_var : per-member observation noise variance, length N, all > 0.
     rng : stream used for the perturbed observations (one block per call).
 
-    Returns the shifted (N, d) members. Raises numpy.linalg.LinAlgError
-    if M is not finite or its eigendecomposition fails.
+    Returns the shifted (N, d) members; an all-+0.0 column stays +0.0, as
+    its row of L is exactly 0. Raises numpy.linalg.LinAlgError if M is
+    not finite or its eigendecomposition fails.
     """
     n, m = predicted.shape
     y = np.asarray(y, dtype=float)
@@ -98,7 +99,7 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     centered_pred = predicted - predicted.mean(axis=0)
     # L and M assembled without the d x d covariance.
     cross = centered_state.T @ centered_pred / n
-    obs_block = symmetrize(centered_pred.T @ centered_pred / n)
+    obs_block = centered_pred.T @ centered_pred / n  # eigh reads its lower triangle
 
     perturbed = member_perturbations(rng, n, m, obs_var)
     residual = y[None, :] + perturbed - predicted

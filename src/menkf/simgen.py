@@ -182,13 +182,12 @@ def gen_replicates(cfg: SimConfig, base: tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _take(rep: Replicate, idx: np.ndarray) -> Replicate:
-    return Replicate(
-        v_f=rep.v_f[idx].copy(),
-        v_g=rep.v_g[idx].copy(),
-        labels=rep.labels[idx].copy(),
-        target_logits=rep.target_logits[idx].copy(),
-        true_prob=rep.true_prob[idx].copy(),
-    )
+    """Rows idx of rep, copied by the fancy indexing; None stays None."""
+    def rows(values):
+        return None if values is None else values[idx]
+
+    return Replicate(v_f=rep.v_f[idx], v_g=rep.v_g[idx], labels=rows(rep.labels),
+                     target_logits=rep.target_logits[idx], true_prob=rows(rep.true_prob))
 
 
 def split(rep: Replicate, train_n: int, test_n: int,

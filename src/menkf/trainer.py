@@ -18,7 +18,7 @@ which logs the innovation from them, so a step costs one forward pass.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -236,7 +236,6 @@ def _step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
         where = "" if batch_index is None else f" at batch {batch_index}"
         raise NumericError(
             f"observation covariance block failed to decompose{where}") from err
-    layout.apply_structural_zeros(updated)
     _apply_fixed(updated, cfg, layout)
     return Ensemble(updated), predictions
 
@@ -258,33 +257,16 @@ def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
     return _step(e, batch, cfg, layout, rng, batch_index)[0]
 
 
-@dataclass
-class TraceRecord:
-    """Per-batch diagnostics; arm weight and noise variance are read from
-    the post-update ensemble mean, and the innovation is
-    ||y - mean(predictions)|| over the step's forecast members (after
-    jitter and pinning, before the update)."""
-
-    step: int
-    pass_index: int
-    batch_index: int
-    weight_g: float
-    noise_var: float
-    innovation_norm: float
-
-
-@dataclass
-class TrainingTrace:
-    records: list = field(default_factory=list)
-
-    def columns(self) -> dict:
-        """One column per TraceRecord field, in field order."""
-        return {f.name: [getattr(r, f.name) for r in self.records]
-                for f in fields(TraceRecord)}
-
-
-def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, TrainingTrace]:
+def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, dict]:
     """Run the filter over all batches for cfg.passes_over_data passes.
+
+    Returns the final ensemble and the trace, the columns of trace.csv in
+    order with one entry per step: step (t, over all passes), pass_index,
+    batch_index, weight_g and noise_var (sigmoid and softplus of the
+    post-update ensemble means of a and b), and innovation_norm
+    (||y - mean(predictions)|| over the forecast members, after jitter and
+    pinning and before the update). A step whose update or trace entry
+    overflows, or makes a NaN, is a NumericError naming its batch.
 
     rng children: 0 initializes the ensemble, 1 shuffles batch order
     (child 1.p for pass p, when cfg.shuffle_batches), 2 + t drives step t.
@@ -296,7 +278,8 @@ def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, TrainingTr
         raise InvalidInputError("need at least one batch")
     layout = cfg.layout()
     ens = init_ensemble(cfg, layout, rng.child(0))
-    trace = TrainingTrace()
+    trace = {name: [] for name in ("step", "pass_index", "batch_index", "weight_g",
+                                   "noise_var", "innovation_norm")}
     step = 0
     for pass_index in range(cfg.passes_over_data):
         order = list(range(len(batches)))
@@ -304,17 +287,19 @@ def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, TrainingTr
             order = rng.child(1).child(pass_index).generator().permutation(len(batches)).tolist()
         for batch_index in order:
             batch = batches[batch_index]
-            ens, predictions = _step(ens, batch, cfg, layout, rng.child(2 + step),
-                                     batch_index)
-            innovation = float(np.linalg.norm(batch.y - predictions.mean(axis=0)))
-            trace.records.append(TraceRecord(
-                step=step,
-                pass_index=pass_index,
-                batch_index=batch_index,
-                weight_g=float(sigmoid(ens.members[:, layout.a_index].mean())),
-                noise_var=float(softplus(ens.members[:, layout.b_index].mean())),
-                innovation_norm=innovation,
-            ))
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    ens, predictions = _step(ens, batch, cfg, layout, rng.child(2 + step),
+                                             batch_index)
+                    entry = (step, pass_index, batch_index,
+                             float(sigmoid(ens.members[:, layout.a_index].mean())),
+                             float(softplus(ens.members[:, layout.b_index].mean())),
+                             float(np.linalg.norm(batch.y - predictions.mean(axis=0))))
+            except FloatingPointError as err:
+                raise NumericError(f"filter step is not finite at batch {batch_index} "
+                                   f"({err})") from err
+            for column, value in zip(trace.values(), entry):
+                column.append(value)
             step += 1
     return ens, trace
 

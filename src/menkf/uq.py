@@ -18,7 +18,7 @@ import numpy as np
 
 from .arms import ArmSpec, StateLayout
 from .enkf import Ensemble
-from .exceptions import DimensionError, InvalidInputError
+from .exceptions import DimensionError, InvalidInputError, NumericError
 from .trainer import arm_averaged_logits, input_rows, sigmoid
 
 # rows per evaluation block; a power of two, so a block ends on the
@@ -41,12 +41,18 @@ class PredictionSummary:
 
 
 def _block_intervals(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
-                     spec_g: ArmSpec):
+                     spec_g: ArmSpec, start: int):
     """(draws, point, lo, hi) of one block of rows: the (N, rows) member
     probabilities, and per row the member mean and the empirical 2.5% and
     97.5% quantiles. A function of its own so that its temporaries are
-    freed before the next block is computed."""
-    draws = sigmoid(arm_averaged_logits(e.members, v_f, v_g, layout, spec_f, spec_g))
+    freed before the next block is computed. A non-finite member logit is a
+    NumericError naming its row; start is the block's first row."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        draws = arm_averaged_logits(e.members, v_f, v_g, layout, spec_f, spec_g)
+    finite = np.isfinite(draws).all(axis=0)
+    if not finite.all():
+        raise NumericError(f"model output is not finite at row {start + finite.argmin()}")
+    draws = sigmoid(draws)  # the logits are freed here
     by_row = draws.T.copy()  # a C-ordered copy, which the quantile may reorder
     point = by_row.mean(axis=1)
     lo, hi = np.quantile(by_row, [0.025, 0.975], axis=1, overwrite_input=True)
@@ -60,7 +66,8 @@ def _blocks(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
     are checked first, so that a short last block cannot broadcast."""
     for start in range(0, input_rows(v_f, v_g), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        yield rows, *_block_intervals(e, v_f[rows], v_g[rows], layout, spec_f, spec_g)
+        yield rows, *_block_intervals(e, v_f[rows], v_g[rows], layout, spec_f, spec_g,
+                                      start)
 
 
 def interval_arrays(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
@@ -136,13 +143,19 @@ class AdequacyReport:
 
 def interval_adequacy(point: np.ndarray, lo: np.ndarray, hi: np.ndarray, truth,
                       e: Ensemble, layout: StateLayout) -> AdequacyReport:
-    """Coverage, width, point error, sharpness and arm weight in one report."""
+    """Coverage, width, point error, sharpness and arm weight in one report;
+    a mean absolute error that overflows is a NumericError."""
     truth = np.asarray(truth, dtype=float)
     width = hi - lo
+    try:
+        with np.errstate(over="raise"):
+            mae = float(np.mean(np.abs(point - truth)))
+    except FloatingPointError as err:
+        raise NumericError(f"mean absolute error is not finite ({err})") from err
     return AdequacyReport(
         coverage=_coverage(lo, hi, truth),
         avg_width=float(np.mean(width)),
-        mae=float(np.mean(np.abs(point - truth))),
+        mae=mae,
         mean_arm_weight=float(np.mean(sigmoid(e.members[:, layout.a_index]))),
         n_test=lo.size,
         frac_wide=float(np.mean(width >= 0.99)),

@@ -209,15 +209,6 @@ class TestStateLayout:
         both = np.concatenate([lay.active_indices(), lay.structural_zero_indices()])
         np.testing.assert_array_equal(np.sort(both), np.arange(lay.dim))
 
-    def test_apply_structural_zeros(self):
-        lay = StateLayout(n_f=2, n_g=3)
-        members = np.ones((4, lay.dim))
-        lay.apply_structural_zeros(members)
-        assert lay.structural_zeros_ok(members)
-        np.testing.assert_array_equal(members[:, lay.wf_slice], np.ones((4, 2)))
-        np.testing.assert_array_equal(members[:, [lay.a_index, lay.b_index]],
-                                      np.ones((4, 2)))
-
     def test_from_specs(self):
         lay = StateLayout.from_specs(ArmSpec(3, (), "identity"), ArmSpec(4, (8,), "tanh"))
         assert (lay.n_f, lay.n_g) == (4, 49)

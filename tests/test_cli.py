@@ -294,6 +294,57 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "column 'label': '99999999999999999999' is not an int64 integer" in err
 
+    @staticmethod
+    def replaced_cells(path, out, row, cells):
+        """Write path's CSV to out with the named cells of data row row
+        (counted from 0) replaced."""
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        fields = lines[1 + row].split(",")
+        for column, cell in cells.items():
+            fields[header.index(column)] = cell
+        lines[1 + row] = ",".join(fields)
+        out.write_text("\n".join(lines) + "\n")
+        return str(out)
+
+    def test_overflowing_target_names_its_batch(self, tmp_path, capsys):
+        config = write_config(tmp_path)  # one batch of 12 rows
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
+        data = self.replaced_cells(tmp_path / "replicates" / "rep_000.csv",
+                                   tmp_path / "huge.csv", 0, {"target_logit": "1e300"})
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--dataset", data,
+                     "--output-dir", str(tmp_path / "fit")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("menkf: NumericError: filter step is not finite at batch 0 (")
+
+    def test_overflowing_model_output_names_its_row(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
+        good = tmp_path / "replicates" / "rep_000.csv"
+        assert main(["train", "--config", config, "--dataset", str(good),
+                     "--output-dir", str(tmp_path / "fit")]) == 0
+        data = self.replaced_cells(good, tmp_path / "huge.csv", 1,
+                                   {"emb_f_0": "1e308", "emb_f_1": "1e308"})
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "fit" / "checkpoint.menkf"),
+                     "--dataset", data, "--output-dir", str(tmp_path / "ev")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "menkf: NumericError: model output is not finite at row 1"
+        assert list((tmp_path / "ev").iterdir()) == []
+
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys):
+        # 71 PiB of members: numpy refuses at once, no machine allocates it
+        config = write_config(tmp_path)
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
+        doc = dict(TINY, trainer=dict(TINY["trainer"], ensemble_size=10**15))
+        capsys.readouterr()
+        assert main(["train", "--config", write_config(tmp_path, doc, "huge.json"),
+                     "--dataset", str(tmp_path / "replicates" / "rep_000.csv"),
+                     "--output-dir", str(tmp_path / "fit")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("menkf: out of memory: Unable to allocate")
+
     def test_study_with_failing_replicates(self, tmp_path, monkeypatch, capsys):
         def failing_fit(*args):
             raise NumericError("forced failure")

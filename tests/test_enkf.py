@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from menkf import enkf, numerics
-from menkf.enkf import Ensemble, enkf_update, ensemble_moments, member_perturbations
+from menkf.enkf import (Ensemble, analysis, enkf_update, ensemble_moments,
+                        member_perturbations)
 from menkf.exceptions import DimensionError, InvalidInputError
 from menkf.kalman import GaussianBelief, LinearStateSpace, kf_update
 from menkf.numerics import RngStream
@@ -190,6 +194,33 @@ class TestEnkfUpdate:
         e = Ensemble(np.random.default_rng(0).standard_normal((5, 2)))
         with pytest.raises(DimensionError):
             enkf_update(e, np.zeros(2), np.eye(3), np.ones(5), RngStream(0))
+
+
+MODERATE = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def zero_column_cases(draw):
+    """(members, zero, predicted, y, obs_var, seed): members whose columns
+    in the non-empty index list zero are all +0.0."""
+    n, d, m = draw(st.integers(2, 12)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    members = draw(hnp.arrays(float, (n, d), elements=MODERATE))
+    zero = draw(st.lists(st.integers(0, d - 1), min_size=1, unique=True))
+    members[:, zero] = 0.0
+    predicted = draw(hnp.arrays(float, (n, m), elements=MODERATE))
+    y = draw(hnp.arrays(float, m, elements=MODERATE))
+    obs_var = draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e3)))
+    return members, zero, predicted, y, obs_var, draw(st.integers(0, 2**32))
+
+
+class TestAnalysis:
+    @given(zero_column_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_all_zero_columns_stay_positive_zero(self, case):
+        # the trainer relies on this to leave the layout's structural zeros alone
+        members, zero, predicted, y, obs_var, seed = case
+        out = analysis(members, predicted, y, obs_var, RngStream(seed))
+        assert not out[:, zero].view(np.int64).any()  # +0.0 bit for bit, sign included
 
 
 class TestMemberPerturbations:

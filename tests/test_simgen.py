@@ -5,6 +5,7 @@ from menkf.exceptions import DimensionError, InvalidInputError
 from menkf.numerics import RngStream
 from menkf.simgen import (SCENARIOS, Replicate, SimConfig, gen_base_probs,
                           gen_replicates, logit, split)
+from menkf.storage import read_dataset_csv
 from menkf.trainer import sigmoid
 
 
@@ -230,6 +231,19 @@ class TestSplit:
             split(indexed_replicate(20), 18, 5, RngStream(0))
         with pytest.raises(InvalidInputError):
             split(indexed_replicate(), 0, 2, RngStream(0))
+
+    def test_missing_columns_stay_missing(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text("emb_f_0,emb_g_0,target_logit\n"
+                        + "".join(f"{i}.0,{-i}.0,{i}.5\n" for i in range(6)))
+        rep = read_dataset_csv(path)
+        train, test = split(rep, 4, 2, RngStream(0))
+        for part in (train, test):
+            assert part.labels is None and part.true_prob is None
+            np.testing.assert_array_equal(part.v_f[:, 0] + 0.5, part.target_logits)
+            assert not np.shares_memory(part.v_f, rep.v_f)
+        assert sorted(np.concatenate([train.target_logits, test.target_logits])) == [
+            i + 0.5 for i in range(6)]
 
     def test_empty_test_part_allowed(self):
         train, test = split(indexed_replicate(), 20, 0, RngStream(0))
