@@ -95,10 +95,10 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     if np.any(obs_var <= 0.0) or not np.all(np.isfinite(obs_var)):
         raise InvalidInputError("obs_var entries must be positive and finite")
 
-    centered_state = members - members.mean(axis=0)
     centered_pred = predicted - predicted.mean(axis=0)
-    # L and M assembled without the d x d covariance.
-    cross = centered_state.T @ centered_pred / n
+    # L and M assembled without the d x d covariance; the centred members
+    # are freed at once, before the shift product needs two (N, d) arrays
+    cross = (members - members.mean(axis=0)).T @ centered_pred / n
     obs_block = centered_pred.T @ centered_pred / n  # eigh reads its lower triangle
 
     perturbed = member_perturbations(rng, n, m, obs_var)
@@ -112,9 +112,11 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     # directions are dropped rather than divided by obs_var[i] alone.
     keep = eigvals > m * np.finfo(float).eps * max(eigvals[-1], 0.0)
     lam, basis = eigvals[keep], eigvecs[:, keep]
-    shifts = ((residual @ basis) / (lam + obs_var[:, None])) @ (cross @ basis).T
-    shifts += members  # the updated members, without a second (N, d) array
-    return shifts
+    coeffs = (residual @ basis) / (lam + obs_var[:, None])
+    # (d, k) @ (k, N) sums each entry in one order at any BLAS thread count,
+    # where (N, k) @ (k, d) did not; order="C" keeps each member's row
+    # contiguous, as arms.forward_batch takes it
+    return np.add(members, ((cross @ basis) @ coeffs.T).T, order="C")
 
 
 def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream) -> Ensemble:

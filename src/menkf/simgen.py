@@ -103,7 +103,10 @@ def gen_base_probs(cfg: SimConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarr
     rng children: 0 draws V_f, 1 the truth network, 2 the mixing maps,
     3 the V_g noise.
     """
-    v_f = _EMB_SD * rng.child(0).generator().standard_normal((cfg.m, cfg.p))
+    try:
+        v_f = _EMB_SD * rng.child(0).generator().standard_normal((cfg.m, cfg.p))
+    except ValueError as err:  # numpy refuses a size past its index range at once
+        raise MemoryError(err) from err
 
     truth_gen = rng.child(1).generator()
     # pre-activations kept at sd ~ _TRUTH_PREACT_SD so the net is smooth

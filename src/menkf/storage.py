@@ -26,15 +26,14 @@ from_dict rejects unknown keys and checks every value strictly.
 """
 
 import array
-import csv
 import dataclasses
 import hashlib
 import json
 import math
-import operator
 import struct
 import types
 import typing
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -63,75 +62,66 @@ def read_json(path) -> dict:
 
 # ---------------------------------------------------------------- datasets
 
-def dataset_header(p: int, q: int) -> list[str]:
+def dataset_header(p: int, q: int, true_prob: bool = True, label: bool = True) -> list[str]:
     return ([f"emb_f_{i}" for i in range(p)] + [f"emb_g_{i}" for i in range(q)]
-            + ["target_logit", "true_prob", "label"])
+            + ["target_logit"] + ["true_prob"] * true_prob + ["label"] * label)
 
 
 def write_dataset_csv(path, rep: Replicate) -> None:
+    """rep as the CSV read_dataset_csv reads; a None true_prob or labels is left out."""
+    columns = [*rep.v_f.T, *rep.v_g.T, rep.target_logits, rep.true_prob, rep.labels]
     header = dataset_header(rep.v_f.shape[1], rep.v_g.shape[1])
-    write_rows_csv(path, dict(zip(header, [*rep.v_f.T, *rep.v_g.T, rep.target_logits,
-                                           rep.true_prob, rep.labels], strict=True)))
+    write_rows_csv(path, {name: column for name, column in zip(header, columns, strict=True)
+                          if column is not None})
 
 
-def _block_columns(header: list[str], prefix: str, path) -> list[int]:
-    # contiguous numbering 0..k-1 is required; anything else is malformed
-    found = {}
-    for idx, name in enumerate(header):
-        if name.startswith(prefix):
-            suffix = name[len(prefix):]
-            try:
-                index = int(suffix)
-            except ValueError:
-                index = None
-            # the canonical spelling only, so that emb_f_01 cannot stand in for emb_f_1
-            if index is None or str(index) != suffix:
-                raise DataFormatError(f"{path}: bad column name {name!r}")
-            found[index] = idx
-    if not found:
-        raise DataFormatError(f"{path}: no {prefix}* columns found")
-    if sorted(found) != list(range(len(found))):
-        raise DataFormatError(f"{path}: {prefix}* columns are not contiguous from 0")
-    return [found[i] for i in range(len(found))]
+def _plain(text: str) -> bool:
+    # float() and int() also read "1_0" as 10 and non-ASCII digits; a cell holds neither
+    return text.isascii() and "_" not in text
 
 
 def read_dataset_csv(path) -> Replicate:
     """Parse a dataset CSV; errors name the row and column at fault.
 
-    true_prob and labels are None when their columns are absent. Rows
-    are converted one at a time into one float buffer, so the file's
-    text is never held whole.
+    The header must be dataset_header(p, q, ...) exactly, where p and q
+    are the lengths of its leading emb_f_* and emb_g_* runs; true_prob
+    and labels are None when their columns are absent. Each line loses
+    its CRLF or LF and is split on commas, with no quoting, as
+    write_rows_csv writes it. Rows are converted one at a time into one
+    float buffer, so the file's text is never held whole.
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
+        with open(path, newline="\n") as fh:
+            header = fh.readline()
+            if not header:
                 raise DataFormatError(f"{path}: empty file")
-            return _read_rows(path, header, reader)
-    except (UnicodeDecodeError, csv.Error) as err:
+            return _read_rows(path, _fields(header), fh)
+    except UnicodeDecodeError as err:
         raise DataFormatError(f"{path}: not a readable UTF-8 CSV file ({err})") from err
 
 
-def _read_rows(path, header: list[str], reader) -> Replicate:
-    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
-    if repeated is not None:
-        raise DataFormatError(f"{path}: column {repeated!r} appears more than once")
-    f_cols = _block_columns(header, "emb_f_", path)
-    g_cols = _block_columns(header, "emb_g_", path)
-    if "target_logit" not in header:
-        raise DataFormatError(f"{path}: missing target_logit column")
-    named = {name: idx for idx, name in enumerate(header)}
-    has_prob, has_label = "true_prob" in named, "label" in named
-    float_cols = f_cols + g_cols + [named["target_logit"]] + (
-        [named["true_prob"]] if has_prob else [])
-    pick = operator.itemgetter(*float_cols)
+def _fields(line: str) -> list[str]:
+    return line.removesuffix("\n").removesuffix("\r").split(",")
+
+
+def _read_rows(path, header: list[str], lines) -> Replicate:
+    p = len(list(takewhile(lambda name: name.startswith("emb_f_"), header)))
+    q = len(list(takewhile(lambda name: name.startswith("emb_g_"), header[p:])))
+    has_prob, has_label = "true_prob" in header, "label" in header
+    expected = dataset_header(max(p, 1), max(q, 1), has_prob, has_label)
+    if header != expected:
+        col = next(i for i in range(len(header) + 1) if header[i:i + 1] != expected[i:i + 1])
+        got = repr(header[col]) if col < len(header) else "missing"
+        want = repr(expected[col]) if col < len(expected) else "no further column"
+        raise DataFormatError(f"{path}: header column {col + 1} is {got}, expected {want}")
+    n_float = p + q + 1 + has_prob  # the leading cells; label, if any, is the last
 
     def parse(row_num, row, col_idx, as_int=False):
         text = row[col_idx]
         try:
             value = int(text) if as_int else float(text)
-            if (_INT64.min <= value <= _INT64.max) if as_int else math.isfinite(value):
+            if _plain(text) and ((_INT64.min <= value <= _INT64.max) if as_int
+                                 else math.isfinite(value)):
                 return value
         except ValueError:
             pass
@@ -141,24 +131,24 @@ def _read_rows(path, header: list[str], reader) -> Replicate:
 
     values = array.array("d")
     labels = []
-    for row_num, row in enumerate(reader, start=2):  # 1-based, counting the header line
+    for row_num, line in enumerate(lines, start=2):  # 1-based, counting the header line
+        row = _fields(line)
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
         try:
-            converted = tuple(map(float, pick(row)))
-            ok = math.isfinite(sum(converted))  # a nan or inf anywhere spoils the sum
+            converted = tuple(map(float, row[:n_float]))
+            ok = _plain(line) and math.isfinite(sum(converted))  # nan or inf spoils the sum
         except ValueError:
             ok = False
         if not ok:  # find the cell at fault; a sum that merely overflowed passes
-            converted = tuple(parse(row_num, row, c) for c in float_cols)
+            converted = tuple(parse(row_num, row, c) for c in range(n_float))
         values.extend(converted)
         if has_label:
-            labels.append(parse(row_num, row, named["label"], as_int=True))
+            labels.append(parse(row_num, row, n_float, as_int=True))
     if not values:
         raise DataFormatError(f"{path}: no data rows")
-    table = np.frombuffer(values, dtype=float).reshape(-1, len(float_cols))
-    p, q = len(f_cols), len(g_cols)
+    table = np.frombuffer(values, dtype=float).reshape(-1, n_float)
     return Replicate(v_f=np.ascontiguousarray(table[:, :p]),
                      v_g=np.ascontiguousarray(table[:, p:p + q]),
                      labels=np.array(labels, dtype=np.int64) if has_label else None,

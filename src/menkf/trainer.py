@@ -158,7 +158,10 @@ def init_ensemble(cfg: MenkfConfig, layout: StateLayout, rng: RngStream) -> Ense
     pre-image instead.
     """
     active = layout.active_indices()
-    members = np.zeros((cfg.ensemble_size, layout.dim))
+    try:
+        members = np.zeros((cfg.ensemble_size, layout.dim))
+    except ValueError as err:  # numpy refuses a size past its index range at once
+        raise MemoryError(err) from err
     gen = rng.child(0).generator()
     members[:, active] = gen.normal(0.0, math.sqrt(cfg.init_var),
                                     size=(cfg.ensemble_size, active.size))

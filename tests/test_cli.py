@@ -141,13 +141,15 @@ class TestDefaults:
         assert agg["mae_mean"] < constant_mae
 
 
-def run_python(code):
+def run_python(code, **env_vars):
     """Run code in a fresh interpreter that finds this menkf first, as the
-    acceptance gate's run_cli does; returns its stripped stdout."""
+    acceptance gate's run_cli does, with env_vars added to its environment;
+    returns its stripped stdout."""
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(menkf.__file__).resolve().parents[1]),
                       env.get("PYTHONPATH")]))
+    env.update(env_vars)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -250,7 +252,7 @@ class TestExitCodes:
                         "1.0,2.0,3.0,0.5,9.0\n")
         assert main(["train", "--config", config, "--dataset", str(data),
                      "--output-dir", str(tmp_path / "out")]) == 1
-        assert "column 'emb_f_0' appears more than once" in capsys.readouterr().err
+        assert "header column 2 is 'emb_f_0', expected 'emb_f_1'" in capsys.readouterr().err
 
     def test_dataset_width_does_not_fit_checkpoint(self, tmp_path, capsys):
         config = write_config(tmp_path)  # p = q = 2
@@ -282,7 +284,7 @@ class TestExitCodes:
             capsys.readouterr()
             assert main(args + ["--dataset", str(data),
                                 "--output-dir", str(tmp_path / "out")]) == 1
-            assert "bad column name 'emb_f_01'" in capsys.readouterr().err
+            assert "header column 3 is 'emb_f_01', expected 'emb_f_2'" in capsys.readouterr().err
 
     def test_label_outside_int64(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -344,6 +346,21 @@ class TestExitCodes:
                      "--output-dir", str(tmp_path / "fit")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("menkf: out of memory: Unable to allocate")
+
+    @pytest.mark.parametrize("size", [10**18, 10**19])
+    @pytest.mark.parametrize("section, key", [("trainer", "ensemble_size"), ("sim", "m")])
+    def test_size_numpy_refuses_is_out_of_memory(self, tmp_path, capsys, section, key, size):
+        # numpy refuses these shapes with a ValueError before it allocates anything
+        config = write_config(tmp_path)
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
+        doc = dict(TINY, **{section: dict(TINY[section], **{key: size})})
+        args = (["train", "--dataset", str(tmp_path / "replicates" / "rep_000.csv")]
+                if section == "trainer" else ["simulate"])
+        capsys.readouterr()
+        assert main(args + ["--config", write_config(tmp_path, doc, "huge.json"),
+                            "--output-dir", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("menkf: out of memory: ")
 
     def test_study_with_failing_replicates(self, tmp_path, monkeypatch, capsys):
         def failing_fit(*args):
@@ -518,6 +535,27 @@ class TestPipeline:
                   "--parallel"])
         assert (seq / "study.json").read_bytes() == (par / "study.json").read_bytes()
         assert (seq / "study.csv").read_bytes() == (par / "study.csv").read_bytes()
+
+    def test_hidden_train_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 16-unit tanh arms on 32 + 32 features (d = 1,094), three filter steps;
+        # the thread count is read when numpy loads, so each run is a new process
+        doc = dict(TINY, sim=dict(TINY["sim"], m=48, replicates=1, p=32, q=32),
+                   trainer={"ensemble_size": 216, "init_var": 0.1, "hidden_dims_f": [16],
+                            "hidden_dims_g": [16], "activation": "tanh", "batch_size": 16,
+                            "passes_over_data": 1, "jitter_var": 0.0,
+                            "variance_init": "gaussian"})
+        config = write_config(tmp_path, doc)
+        self.run(["simulate", "--config", config, "--output-dir", str(tmp_path)])
+        written = set()
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"threads_{threads}"
+            args = ["train", "--config", config, "--output-dir", str(out),
+                    "--dataset", str(tmp_path / "replicates" / "rep_000.csv")]
+            run_python(f"from menkf.cli import main; raise SystemExit(main({args!r}))",
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            written.add(((out / "checkpoint.menkf").read_bytes(),
+                         (out / "trace.csv").read_bytes()))
+        assert len(written) == 1
 
 
 class TestAggregation:

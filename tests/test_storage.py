@@ -80,11 +80,15 @@ class TestDatasetCsv:
 
 
 def per_cell_csv(rep: Replicate) -> bytes:
-    """Reference writer: one repr(float(x)) per cell, CRLF line ends."""
-    lines = [",".join(dataset_header(rep.v_f.shape[1], rep.v_g.shape[1]))]
+    """Reference writer: one repr(float(x)) per cell, CRLF line ends, and no
+    true_prob or label column where the replicate has None."""
+    has_prob, has_label = rep.true_prob is not None, rep.labels is not None
+    lines = [",".join(dataset_header(rep.v_f.shape[1], rep.v_g.shape[1], has_prob, has_label))]
     for i in range(rep.size):
-        cells = [*rep.v_f[i], *rep.v_g[i], rep.target_logits[i], rep.true_prob[i]]
-        lines.append(",".join([repr(float(x)) for x in cells] + [str(int(rep.labels[i]))]))
+        cells = [*rep.v_f[i], *rep.v_g[i], rep.target_logits[i]]
+        cells += [rep.true_prob[i]] if has_prob else []
+        lines.append(",".join([repr(float(x)) for x in cells]
+                              + ([str(int(rep.labels[i]))] if has_label else [])))
     return ("\r\n".join(lines) + "\r\n").encode()
 
 
@@ -96,12 +100,13 @@ def replicates(draw):
     n, p, q = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     col = lambda k: hnp.arrays(float, (n, k) if k else n, elements=FINITE)
     return Replicate(v_f=draw(col(p)), v_g=draw(col(q)),
-                     labels=draw(hnp.arrays(np.int64, n)),
-                     target_logits=draw(col(0)), true_prob=draw(col(0)))
+                     labels=draw(st.none() | hnp.arrays(np.int64, n)),
+                     target_logits=draw(col(0)), true_prob=draw(st.none() | col(0)))
 
 
 class TestDatasetCsvProperties:
-    # huge values make a row sum overflow, which must not be taken for a bad cell
+    # huge values make a row sum overflow, which must not be taken for a bad cell;
+    # a None true_prob or labels is written as no column and read back as None
     @given(replicates())
     @settings(max_examples=150, deadline=None)
     def test_round_trip_is_bitwise_with_contiguous_blocks(self, tmp_path_factory, rep):
@@ -112,6 +117,9 @@ class TestDatasetCsvProperties:
         for got, want in ((loaded.v_f, rep.v_f), (loaded.v_g, rep.v_g),
                           (loaded.target_logits, rep.target_logits),
                           (loaded.true_prob, rep.true_prob), (loaded.labels, rep.labels)):
+            if want is None:
+                assert got is None
+                continue
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()  # -0.0 and subnormals included
             assert got.flags.c_contiguous
@@ -138,20 +146,24 @@ class TestDatasetCsvErrors:
             read_dataset_csv(self.write(tmp_path, "emb_f_0,emb_g_0,target_logit\n"))
 
     def test_missing_target_column(self, tmp_path):
-        with pytest.raises(DataFormatError, match="target_logit"):
+        with pytest.raises(DataFormatError,
+                           match="header column 3 is missing, expected 'target_logit'"):
             read_dataset_csv(self.write(tmp_path, "emb_f_0,emb_g_0\n1.0,2.0\n"))
 
     def test_missing_feature_block(self, tmp_path):
-        with pytest.raises(DataFormatError, match="emb_g_"):
+        with pytest.raises(DataFormatError,
+                           match="header column 2 is 'target_logit', expected 'emb_g_0'"):
             read_dataset_csv(self.write(tmp_path, "emb_f_0,target_logit\n1.0,2.0\n"))
 
     def test_noncontiguous_feature_columns(self, tmp_path):
         text = "emb_f_0,emb_f_2,emb_g_0,target_logit\n1.0,2.0,3.0,4.0\n"
-        with pytest.raises(DataFormatError, match="not contiguous"):
+        with pytest.raises(DataFormatError,
+                           match="header column 2 is 'emb_f_2', expected 'emb_f_1'"):
             read_dataset_csv(self.write(tmp_path, text))
 
     def test_bad_number_names_row_and_column(self, tmp_path):
-        for cell in ("oops", "nan", "inf", "-Infinity"):
+        # float() also reads 1_0 as 10 and an Arabic-Indic digit as its value
+        for cell in ("oops", "nan", "inf", "-Infinity", "1_0", "\u0661", "1.\u0665"):
             text = ("emb_f_0,emb_g_0,target_logit\n"
                     "0.5,1.0,-0.2\n"
                     f"0.1,{cell},0.3\n")
@@ -161,7 +173,7 @@ class TestDatasetCsvErrors:
 
     def test_bad_label_names_column(self, tmp_path):
         # outside int64: past the C long, and past what converts to a float
-        for cell in ("1.5", "99999999999999999999", "9" * 400):
+        for cell in ("1.5", "99999999999999999999", "9" * 400, "1_1", "\u0661"):
             text = ("emb_f_0,emb_g_0,target_logit,true_prob,label\n"
                     f"0.5,1.0,-0.2,0.4,{cell}\n")
             with pytest.raises(DataFormatError,
@@ -172,20 +184,35 @@ class TestDatasetCsvErrors:
         # the last of each repeated column would silently win
         text = ("emb_f_0,emb_f_0,emb_g_0,target_logit,target_logit\n"
                 "1.0,2.0,3.0,0.5,9.0\n")
-        with pytest.raises(DataFormatError, match="column 'emb_f_0' appears more than once"):
+        with pytest.raises(DataFormatError,
+                           match="header column 2 is 'emb_f_0', expected 'emb_f_1'"):
             read_dataset_csv(self.write(tmp_path, text))
         text = "emb_f_0,emb_g_0,target_logit,target_logit\n1.0,3.0,0.5,9.0\n"
         with pytest.raises(DataFormatError,
-                           match="column 'target_logit' appears more than once"):
+                           match="header column 4 is 'target_logit', expected no further column"):
             read_dataset_csv(self.write(tmp_path, text))
 
-    @pytest.mark.parametrize("name", ["emb_f_01", "emb_f_ 1", "emb_f_+1", "emb_f_-0",
-                                      "emb_g_00", "emb_f_0_1"])
-    def test_noncanonical_block_index_rejected(self, tmp_path, name):
-        # int() reads emb_f_01 as 1, so it used to replace the real emb_f_1
-        text = (f"emb_f_0,emb_f_1,{name},emb_g_0,target_logit\n"
-                "1.0,2.0,999.0,3.0,0.5\n")
-        with pytest.raises(DataFormatError, match=re.escape(f"bad column name '{name}'")):
+    # int() reads emb_f_01 as 1, so it used to replace the real emb_f_1; the last
+    # four headers were read as if their odd column were absent or unquoted
+    @pytest.mark.parametrize("header, column, got, want", [
+        *(pytest.param(f"emb_f_0,emb_f_1,{name},emb_g_0,target_logit", 3, repr(name),
+                       repr(want), id=name)
+          for name, want in [("emb_f_01", "emb_f_2"), ("emb_f_ 1", "emb_f_2"),
+                             ("emb_f_+1", "emb_f_2"), ("emb_f_-0", "emb_f_2"),
+                             ("emb_g_00", "emb_g_0"), ("emb_f_0_1", "emb_f_2")]),
+        pytest.param("emb_f_0,emb_g_0,target_logit,true_probs", 4, "'true_probs'",
+                     "no further column", id="misspelt true_prob"),
+        pytest.param("emb_f_0,emb_g_0,target_logit,true_prob,label,id", 6, "'id'",
+                     "no further column", id="extra id"),
+        pytest.param("emb_f_0,emb_g_0,target_logit,label,true_prob", 4, "'label'",
+                     "'true_prob'", id="label before true_prob"),
+        pytest.param('"emb_f_0",emb_g_0,target_logit', 1, """'"emb_f_0"'""", "'emb_f_0'",
+                     id="quoted emb_f_0"),
+    ])
+    def test_noncanonical_block_index_rejected(self, tmp_path, header, column, got, want):
+        text = header + "\n" + ",".join(["0.5"] * len(header.split(","))) + "\n"
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"header column {column} is {got}, expected {want}")):
             read_dataset_csv(self.write(tmp_path, text))
 
     @pytest.mark.parametrize("column", ["emb_f_1", "emb_g_0", "target_logit",
