@@ -34,7 +34,6 @@ from .storage import (from_dict, load_checkpoint, read_dataset_csv, read_json,
                       save_checkpoint, to_dict, write_dataset_csv, write_json,
                       write_manifest, write_rows_csv)
 from .trainer import MenkfConfig, fit, make_batches, sigmoid
-from .uq import interval_adequacy, interval_arrays
 
 # rng children of the root stream, one per pipeline stage
 _RNG_BASE = 0
@@ -68,15 +67,15 @@ class TrainerSettings:
     shuffle_batches: bool = False
 
     def __post_init__(self):
-        self.make_config(1, 1, 0)  # the trainer's own checks, at load time
+        self.make_config(1, 1)  # the trainer's own checks, at load time
 
-    def make_config(self, p: int, q: int, seed: int) -> MenkfConfig:
+    def make_config(self, p: int, q: int) -> MenkfConfig:
         own = {f.name for f in dataclasses.fields(self)}
         shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(MenkfConfig)
                   if f.name in own}
         return MenkfConfig(arm_f=ArmSpec(p, self.hidden_dims_f, self.activation),
                            arm_g=ArmSpec(q, self.hidden_dims_g, self.activation),
-                           seed=seed, **shared)
+                           **shared)
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,10 @@ class RunConfig:
     sim: SimConfig = SimConfig()
     trainer: TrainerSettings = TrainerSettings()
     split: SplitSettings = SplitSettings()
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**64:  # RngStream reads a seed modulo 2**64
+            raise InvalidInputError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
 
     @property
     def train_n(self) -> int:
@@ -134,9 +137,13 @@ def load_run_config(path) -> RunConfig:
     env_seed = os.environ.get("MENKF_SEED")
     if env_seed is not None:
         try:
-            cfg = dataclasses.replace(cfg, seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"MENKF_SEED={env_seed!r} is not an integer") from None
+        try:
+            cfg = dataclasses.replace(cfg, seed=seed)
+        except InvalidInputError as err:
+            raise ConfigError(f"MENKF_SEED: {err}") from None
     return cfg
 
 
@@ -162,7 +169,7 @@ def cmd_train(cfg: RunConfig, dataset_path: str, output_dir: str | None = None) 
     out = Path(output_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = read_dataset_csv(dataset_path)
-    mcfg = cfg.trainer.make_config(data.v_f.shape[1], data.v_g.shape[1], cfg.seed)
+    mcfg = cfg.trainer.make_config(data.v_f.shape[1], data.v_g.shape[1])
     batches = make_batches(data.v_f, data.v_g, data.target_logits, mcfg.batch_size)
     started = time.perf_counter()
     ensemble, trace = fit(batches, mcfg, RngStream(cfg.seed).child(_RNG_TRAIN))
@@ -179,6 +186,7 @@ def cmd_train(cfg: RunConfig, dataset_path: str, output_dir: str | None = None) 
 
 def _evaluate_ensemble(ensemble, mcfg: MenkfConfig, data) -> tuple[dict, tuple]:
     """The report and the (point, lo, hi, truth) arrays of one evaluation."""
+    from .uq import interval_adequacy, interval_arrays  # only evaluations pay for it
     layout = mcfg.layout()
     point, lo, hi = interval_arrays(ensemble, data.v_f, data.v_g, layout,
                                     mcfg.arm_f, mcfg.arm_g)
@@ -216,7 +224,7 @@ def run_study_replicate(j: int, rep: Replicate, cfg: RunConfig) -> dict:
     root = RngStream(cfg.seed)
     train_part, test_part = split(rep, cfg.train_n, cfg.test_n,
                                   root.child(_RNG_SPLIT).child(j))
-    mcfg = cfg.trainer.make_config(rep.v_f.shape[1], rep.v_g.shape[1], cfg.seed)
+    mcfg = cfg.trainer.make_config(rep.v_f.shape[1], rep.v_g.shape[1])
     batches = make_batches(train_part.v_f, train_part.v_g,
                            train_part.target_logits, mcfg.batch_size)
     ensemble, _ = fit(batches, mcfg, root.child(_RNG_STUDY_TRAIN).child(j))

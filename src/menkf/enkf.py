@@ -116,7 +116,9 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     # (d, k) @ (k, N) sums each entry in one order at any BLAS thread count,
     # where (N, k) @ (k, d) did not; order="C" keeps each member's row
     # contiguous, as arms.forward_batch takes it
-    return np.add(members, ((cross @ basis) @ coeffs.T).T, order="C")
+    shift = (cross @ basis) @ coeffs.T
+    del cross  # one (d, m) array fewer beside the three (N, d) ones of the sum
+    return np.add(members, shift.T, order="C")
 
 
 def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream) -> Ensemble:

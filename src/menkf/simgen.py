@@ -103,8 +103,9 @@ def gen_base_probs(cfg: SimConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarr
     rng children: 0 draws V_f, 1 the truth network, 2 the mixing maps,
     3 the V_g noise.
     """
-    try:
+    try:  # the (m, width) draws first; each child stream's draws do not depend on order
         v_f = _EMB_SD * rng.child(0).generator().standard_normal((cfg.m, cfg.p))
+        noise = rng.child(3).generator().standard_normal((cfg.m, cfg.q))
     except ValueError as err:  # numpy refuses a size past its index range at once
         raise MemoryError(err) from err
 
@@ -130,7 +131,6 @@ def gen_base_probs(cfg: SimConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarr
                           size=(cfg.p, _MIX_RANK))
     up = mix_gen.normal(0.0, _EMB_SD * np.sqrt(_MIX_SIGNAL_SHARE / _MIX_RANK),
                         size=(_MIX_RANK, cfg.q))
-    noise = rng.child(3).generator().standard_normal((cfg.m, cfg.q))
     v_g = (v_f @ down) @ up + _EMB_SD * np.sqrt(1.0 - _MIX_SIGNAL_SHARE) * noise
     return v_f, v_g, p_hat
 

@@ -53,10 +53,19 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads would keep the last of a repeated key; a document holds each once
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is repeated")
+    return doc
+
+
 def read_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except ValueError as err:  # not UTF-8, not JSON, a repeated key or a too-long integer
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
 
 
@@ -76,8 +85,9 @@ def write_dataset_csv(path, rep: Replicate) -> None:
 
 
 def _plain(text: str) -> bool:
-    # float() and int() also read "1_0" as 10 and non-ASCII digits; a cell holds neither
-    return text.isascii() and "_" not in text
+    # float() and int() also read "1_0" as 10, non-ASCII digits, and a cell padded with
+    # the ASCII whitespace they strip; a cell holds none of them
+    return text.isascii() and not any(map(text.__contains__, "_ \t\n\r\v\f"))
 
 
 def read_dataset_csv(path) -> Replicate:
@@ -95,13 +105,13 @@ def read_dataset_csv(path) -> Replicate:
             header = fh.readline()
             if not header:
                 raise DataFormatError(f"{path}: empty file")
-            return _read_rows(path, _fields(header), fh)
+            return _read_rows(path, _unended(header).split(","), map(_unended, fh))
     except UnicodeDecodeError as err:
         raise DataFormatError(f"{path}: not a readable UTF-8 CSV file ({err})") from err
 
 
-def _fields(line: str) -> list[str]:
-    return line.removesuffix("\n").removesuffix("\r").split(",")
+def _unended(line: str) -> str:
+    return line.removesuffix("\n").removesuffix("\r")
 
 
 def _read_rows(path, header: list[str], lines) -> Replicate:
@@ -132,7 +142,7 @@ def _read_rows(path, header: list[str], lines) -> Replicate:
     values = array.array("d")
     labels = []
     for row_num, line in enumerate(lines, start=2):  # 1-based, counting the header line
-        row = _fields(line)
+        row = line.split(",")
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
@@ -276,13 +286,16 @@ def load_checkpoint(path) -> tuple[Ensemble, MenkfConfig]:
     if header_end > len(raw):
         raise DataFormatError(f"{path}: truncated header")
     try:
-        doc = json.loads(raw[_PREFIX.size:header_end].decode())
+        doc = json.loads(raw[_PREFIX.size:header_end].decode(), object_pairs_hook=_unique_keys)
+        config = doc.get("config") if isinstance(doc, dict) else None
+        if isinstance(config, dict):  # hashed as written; an older header's seed is dropped
+            doc["config"] = {key: value for key, value in config.items() if key != "seed"}
         header = from_dict(_Header, doc, "header")
     except ConfigError as err:
         raise DataFormatError(f"{path}: {err}") from err
-    except ValueError as err:  # not UTF-8, not JSON, or an integer too long to parse
+    except ValueError as err:  # not UTF-8, not JSON, a repeated key or a too-long integer
         raise DataFormatError(f"{path}: corrupt header ({err})") from err
-    if header.config_sha256 != _config_hash(doc["config"]):
+    if header.config_sha256 != _config_hash(config):
         raise DataFormatError(f"{path}: config hash mismatch")
     n, d = header.n_members, header.dim
     body = raw[header_end:]

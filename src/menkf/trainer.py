@@ -25,7 +25,6 @@ import numpy as np
 from .arms import ArmSpec, StateLayout, forward_batch, param_count
 from .enkf import Ensemble, analysis
 from .exceptions import DimensionError, InvalidInputError, NumericError
-from .kalman import GaussianBelief, LinearStateSpace
 from .numerics import RngStream
 
 _VARIANCE_INITS = ("gaussian", "gamma_shape_scale")
@@ -78,7 +77,6 @@ class MenkfConfig:
     passes_over_data: int = 1
     jitter_var: float = 0.0
     variance_init: str = "gaussian"
-    seed: int = 0
     shuffle_batches: bool = False
     fixed_arm_logit: float | None = None
     fixed_noise_var: float | None = None
@@ -157,11 +155,11 @@ def init_ensemble(cfg: MenkfConfig, layout: StateLayout, rng: RngStream) -> Ense
     from Gamma(100, 0.01) (mean 1) and b is set to its softplus
     pre-image instead.
     """
-    active = layout.active_indices()
     try:
         members = np.zeros((cfg.ensemble_size, layout.dim))
     except ValueError as err:  # numpy refuses a size past its index range at once
         raise MemoryError(err) from err
+    active = layout.active_indices()
     gen = rng.child(0).generator()
     members[:, active] = gen.normal(0.0, math.sqrt(cfg.init_var),
                                     size=(cfg.ensemble_size, active.size))
@@ -233,12 +231,14 @@ def _step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
     predictions = arm_averaged_logits(members, batch.v_f, batch.v_g, layout,
                                       cfg.arm_f, cfg.arm_g)
     obs_var = softplus(members[:, layout.b_index])
+    where = "" if batch_index is None else f" at batch {batch_index}"
     try:
         updated = analysis(members, predictions, batch.y, obs_var, rng.child(1))
     except np.linalg.LinAlgError as err:
-        where = "" if batch_index is None else f" at batch {batch_index}"
         raise NumericError(
             f"observation covariance block failed to decompose{where}") from err
+    except InvalidInputError as err:  # obs_var: softplus(b) is 0 below b = -745
+        raise NumericError(f"{err}{where}") from err
     _apply_fixed(updated, cfg, layout)
     return Ensemble(updated), predictions
 
@@ -332,7 +332,7 @@ def _linear_coefficients(spec: ArmSpec, v: np.ndarray) -> np.ndarray:
 
 
 def linear_reference_system(batch: Batch, cfg: MenkfConfig,
-                            layout: StateLayout) -> tuple[GaussianBelief, LinearStateSpace]:
+                            layout: StateLayout) -> "tuple[GaussianBelief, LinearStateSpace]":
     """Exact linear-Gaussian equivalent of one training step.
 
     Valid only when both arms are linear (no hidden layers) and a and b
@@ -345,6 +345,7 @@ def linear_reference_system(batch: Batch, cfg: MenkfConfig,
     """
     if cfg.fixed_arm_logit is None or cfg.fixed_noise_var is None:
         raise InvalidInputError("linear reference requires fixed_arm_logit and fixed_noise_var")
+    from .kalman import GaussianBelief, LinearStateSpace  # only the oracle pays for it
     weight_g = float(sigmoid(cfg.fixed_arm_logit))
     coeff_f = (1.0 - weight_g) * _linear_coefficients(cfg.arm_f, batch.v_f)
     coeff_g = weight_g * _linear_coefficients(cfg.arm_g, batch.v_g)

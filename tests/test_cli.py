@@ -92,6 +92,43 @@ class TestRunConfigParsing:
         monkeypatch.delenv("MENKF_SEED")
         assert load_run_config(path).seed == 0
 
+    @pytest.mark.parametrize("text, key", [
+        pytest.param('{"seed": 5, "seed": 7}', "seed", id="top level"),
+        pytest.param('{"seed": 5, "seed": 5}', "seed", id="same value"),
+        pytest.param('{"trainer": {"ensemble_size": 8, "batch_size": 4, "ensemble_size": 9}}',
+                     "ensemble_size", id="trainer"),
+    ])
+    def test_repeated_key_is_refused(self, tmp_path, capsys, text, key):
+        # json.loads alone would keep the last value without a word
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"menkf: {path}: invalid JSON (key '{key}' is repeated)"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed, env", [
+        pytest.param(2**64, None, id="config 2**64"),
+        pytest.param(-1, None, id="config -1"),
+        pytest.param(0, "-1", id="MENKF_SEED -1"),
+        pytest.param(0, str(2**64), id="MENKF_SEED 2**64"),
+    ])
+    def test_seed_outside_64_bits_is_refused(self, tmp_path, capsys, monkeypatch, seed, env):
+        # RngStream reads a seed modulo 2**64, so 2**64 would alias seed 0
+        if env is not None:
+            monkeypatch.setenv("MENKF_SEED", env)
+        config = write_config(tmp_path, dict(TINY, seed=seed))
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        named = "config: seed" if env is None else "MENKF_SEED: seed"
+        assert line == f"menkf: {named} must be in [0, 2**64 - 1], got {env or seed}"
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_range_ends(self):
+        assert from_dict(RunConfig, {"seed": 2**64 - 1}).seed == 2**64 - 1
+        assert from_dict(RunConfig, {"seed": 0}).seed == 0
+
 
 class TestStudyPreset:
     def test_scenarios_are_wired(self):
@@ -320,6 +357,20 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("menkf: NumericError: filter step is not finite at batch 0 (")
 
+    def test_underflowed_noise_variance_names_its_batch(self, tmp_path, capsys):
+        # jitter of sd 10**4 takes b below -745, where softplus(b) is exactly 0, which
+        # the analysis refuses as an obs_var
+        config = write_config(tmp_path)
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
+        doc = dict(TINY, trainer=dict(TINY["trainer"], jitter_var=1e8))
+        capsys.readouterr()
+        assert main(["train", "--config", write_config(tmp_path, doc, "jittered.json"),
+                     "--dataset", str(tmp_path / "replicates" / "rep_000.csv"),
+                     "--output-dir", str(tmp_path / "fit")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("menkf: NumericError: obs_var entries must be positive and finite "
+                        "at batch 0")
+
     def test_overflowing_model_output_names_its_row(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
@@ -348,12 +399,15 @@ class TestExitCodes:
         assert line.startswith("menkf: out of memory: Unable to allocate")
 
     @pytest.mark.parametrize("size", [10**18, 10**19])
-    @pytest.mark.parametrize("section, key", [("trainer", "ensemble_size"), ("sim", "m")])
+    @pytest.mark.parametrize("section, key", [("trainer", "ensemble_size"), ("sim", "m"),
+                                              ("trainer", "hidden_dims_f"), ("sim", "p"),
+                                              ("sim", "q")])
     def test_size_numpy_refuses_is_out_of_memory(self, tmp_path, capsys, section, key, size):
         # numpy refuses these shapes with a ValueError before it allocates anything
         config = write_config(tmp_path)
         assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
-        doc = dict(TINY, **{section: dict(TINY[section], **{key: size})})
+        value = [size] if key == "hidden_dims_f" else size
+        doc = dict(TINY, **{section: dict(TINY[section], **{key: value})})
         args = (["train", "--dataset", str(tmp_path / "replicates" / "rep_000.csv")]
                 if section == "trainer" else ["simulate"])
         capsys.readouterr()

@@ -1,11 +1,12 @@
 """Whole input files, mutated, through the command line in-process.
 
-Each property runs main on one mutated dataset CSV or checkpoint of a tiny
-run (N = 8 members, p = q = 2, 12 rows) and checks the exit contract:
-main raises nothing (pytest turns warnings into errors, so a numpy
-RuntimeWarning counts as raising); a non-zero exit leaves exactly one
-`menkf:` line on stderr and no output file; exit 2 comes only with a
-NumericError; and on exit 0 report.json is strict JSON, NaN refused.
+Each property runs main on one mutated run config, dataset CSV or
+checkpoint of a tiny run (N = 8 members, p = q = 2, 12 rows) and checks
+the exit contract: main raises nothing (pytest turns warnings into
+errors, so a numpy RuntimeWarning counts as raising); a non-zero exit
+leaves exactly one `menkf:` line on stderr and no output file; exit 2
+comes only with a NumericError (or, for a run config, with a size numpy
+refuses); and on exit 0 report.json is strict JSON, NaN refused.
 """
 
 import contextlib
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menkf.cli import main
+from menkf.cli import RunConfig, main
+from menkf.storage import to_dict
 
 TINY = {
     "seed": 0,
@@ -31,6 +33,28 @@ MAX = sys.float_info.max
 CELLS = ["1e300", "-1e300", "1e308", "-1e308", "nan", "inf", "-inf", "", "1_0", '"']
 PREFIX = struct.Struct("<8sIQ")  # the checkpoint's magic, version and header length
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+# An integer is small or past what numpy allocates: a size in between is a
+# legitimate run of any length and memory. So is a huge loop count, and the
+# two loop counts (LOOPS) get small integers only.
+INTEGERS = st.integers(-3, 12) | st.integers(10**18, 10**400) | st.integers(-10**400, -1)
+WORDS = st.text(max_size=6) | st.sampled_from(["well_specified", "misspecified",
+                                               "stacked_average", "identity", "tanh", "relu",
+                                               "gaussian", "gamma_shape_scale"])
+# no empty object: as a section it means every default, a run of 50 replicates
+JSON_VALUES = st.recursive(st.none() | st.booleans() | INTEGERS | st.floats() | WORDS,
+                           lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), inner, min_size=1,
+                                             max_size=3),
+                           max_leaves=4)
+OF_TYPE = {bool: st.booleans(), int: INTEGERS, float: st.floats() | INTEGERS, str: WORDS,
+           list: st.lists(INTEGERS, max_size=3)}
+LOOPS = [("sim", "replicates"), ("trainer", "passes_over_data")]
+OF_PATH = {**dict.fromkeys(LOOPS, st.integers(-3, 3)),
+           ("seed",): st.sampled_from([-1, 2**64 - 1, 2**64]) | st.integers(-2**65, 2**65)}
+DEFAULTS = to_dict(RunConfig())
+CONFIG = {key: {**value, **TINY.get(key, {})} if isinstance(value, dict) else value
+          for key, value in DEFAULTS.items()}  # every key of the run config, tiny
+REPEAT = "\0repeat\0"  # a key no drawn text holds
 
 
 @pytest.fixture(scope="module")
@@ -121,12 +145,60 @@ def mutated_checkpoint(raw):
                   st.sampled_from([float("nan"), float("inf"), float("-inf")])))
 
 
+def key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def mutated_config(doc):
+    """Up to three values replaced by values of their JSON type (among them
+    seeds past 64 bits, integers up to 10**400, NaN and Infinity), one value
+    or section replaced by any JSON value, or one key of the top level or of
+    a section given twice."""
+    paths = sorted(key_paths(doc))
+
+    def of_type(path):
+        value = doc[path[0]] if len(path) == 1 else doc[path[0]][path[1]]
+        return OF_PATH.get(path, OF_TYPE.get(type(value), JSON_VALUES))
+
+    def replaced(changes):
+        out = json.loads(json.dumps(doc))
+        for path, value in changes:
+            target = out if len(path) == 1 else out[path[0]]
+            if isinstance(target, dict):  # not a section an earlier change replaced
+                target[path[-1]] = value
+        return json.dumps(out)
+
+    def twice(where, value, first):
+        *section, key = where
+        out = json.loads(json.dumps(doc))
+        target = out[section[0]] if section else out
+        items = [*target.items()]
+        target.clear()
+        target.update([(REPEAT, value), *items] if first else [*items, (REPEAT, value)])
+        return json.dumps(out).replace(json.dumps(REPEAT), json.dumps(key))
+
+    typed = st.one_of([st.tuples(st.just(path), of_type(path)) for path in paths])
+    # typed changes twice over, so that half the configs keep every JSON type
+    return st.one_of(st.lists(typed, min_size=1, max_size=3).map(replaced),
+                     st.lists(typed, min_size=1, max_size=3).map(replaced),
+                     st.tuples(st.sampled_from([path for path in paths if path not in LOOPS]),
+                               JSON_VALUES).map(lambda change: replaced([change])),
+                     st.builds(twice, st.sampled_from(paths), st.none() | INTEGERS, st.booleans()))
+
+
+CONFIG_MUTATIONS = mutated_config(CONFIG)  # built once: building it costs more than a draw
+
+
 def refuse_constant(token):
     raise AssertionError(f"report.json holds the non-JSON token {token}")
 
 
-def check_exit_contract(args, out_dir):
-    """Run main on args into a fresh out_dir and check the exit contract."""
+def check_exit_contract(args, out_dir, exit_2=("menkf: NumericError: ",)):
+    """Run main on args into a fresh out_dir, check the exit contract, and
+    return the exit code; exit_2 holds the prefixes of the exit-2 lines."""
     shutil.rmtree(out_dir, ignore_errors=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -134,14 +206,30 @@ def check_exit_contract(args, out_dir):
     if code == 0:
         if args[0] == "evaluate":
             json.loads((out_dir / "report.json").read_text(), parse_constant=refuse_constant)
-        return
+        return code
     (line,) = stderr.getvalue().splitlines()
     assert line.startswith("menkf: ")
-    assert code == (2 if line.startswith("menkf: NumericError: ") else 1), line
+    assert code == (2 if line.startswith(exit_2) else 1), line
     assert not any(path.is_file() for path in out_dir.rglob("*"))
+    return code
 
 
 class TestFuzzedInputFiles:
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_run_config_to_simulate_and_train(self, tmp_path_factory, run_files, data):
+        # train reads what simulate wrote, or the tiny run's dataset if simulate refused
+        _, dataset, _ = run_files
+        base = tmp_path_factory.getbasetemp()
+        config = base / "fuzzed_config.json"
+        config.write_text(data.draw(CONFIG_MUTATIONS))
+        exit_2 = ("menkf: NumericError: ", "menkf: out of memory: ")
+        if check_exit_contract(["simulate", "--config", str(config)],
+                               base / "fuzzed_simulate", exit_2) == 0:
+            dataset = base / "fuzzed_simulate" / "replicates" / "rep_000.csv"
+        check_exit_contract(["train", "--config", str(config), "--dataset", str(dataset)],
+                            base / "fuzzed_config_train", exit_2)
+
     @given(st.data())
     @settings(max_examples=500, deadline=None)
     def test_dataset_to_train(self, tmp_path_factory, run_files, data):

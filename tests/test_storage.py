@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -39,7 +40,7 @@ def sample_replicate(n=5, p=2, q=3, seed=0):
 
 def sample_config(**kw):
     base = dict(arm_f=ArmSpec(2, (), "identity"), arm_g=ArmSpec(3, (4,), "tanh"),
-                ensemble_size=8, init_var=2.0, seed=7)
+                ensemble_size=8, init_var=2.0)
     base.update(kw)
     return MenkfConfig(**base)
 
@@ -163,17 +164,19 @@ class TestDatasetCsvErrors:
 
     def test_bad_number_names_row_and_column(self, tmp_path):
         # float() also reads 1_0 as 10 and an Arabic-Indic digit as its value
-        for cell in ("oops", "nan", "inf", "-Infinity", "1_0", "\u0661", "1.\u0665"):
+        # and the padding whitespace float() strips, though the writer never pads
+        for cell in ("oops", "nan", "inf", "-Infinity", "1_0", "\u0661", "1.\u0665",
+                     " 1.0", "1.0\t"):
             text = ("emb_f_0,emb_g_0,target_logit\n"
                     "0.5,1.0,-0.2\n"
                     f"0.1,{cell},0.3\n")
-            with pytest.raises(DataFormatError,
-                               match=rf"row 3, column 'emb_g_0': '{cell}' is not a finite"):
+            with pytest.raises(DataFormatError, match=rf"row 3, column 'emb_g_0': "
+                                                      rf"{re.escape(repr(cell))} is not a finite"):
                 read_dataset_csv(self.write(tmp_path, text))
 
     def test_bad_label_names_column(self, tmp_path):
-        # outside int64: past the C long, and past what converts to a float
-        for cell in ("1.5", "99999999999999999999", "9" * 400, "1_1", "\u0661"):
+        # outside int64: past the C long, and past what converts to a float; or padded
+        for cell in ("1.5", "99999999999999999999", "9" * 400, "1_1", "\u0661", "1 "):
             text = ("emb_f_0,emb_g_0,target_logit,true_prob,label\n"
                     f"0.5,1.0,-0.2,0.4,{cell}\n")
             with pytest.raises(DataFormatError,
@@ -405,9 +408,46 @@ class TestCheckpoint:
         # same-length edit to the embedded config: the hash no longer matches
         path, *_ = self.roundtrip(tmp_path)
         raw = path.read_bytes()
-        assert b'"seed": 7' in raw
-        path.write_bytes(raw.replace(b'"seed": 7', b'"seed": 9', 1))
+        assert b'"init_var": 2.0' in raw
+        path.write_bytes(raw.replace(b'"init_var": 2.0', b'"init_var": 3.0', 1))
         with pytest.raises(DataFormatError, match="hash mismatch"):
+            load_checkpoint(path)
+
+    def test_header_with_a_seed_still_loads(self, tmp_path):
+        # headers written while MenkfConfig had a seed field hash a config that holds it
+        path, members, cfg = self.roundtrip(tmp_path)
+        raw = path.read_bytes()
+        header, body = split_checkpoint(raw)
+        assert "seed" not in header["config"]
+        legacy = tmp_path / "legacy.menkf"
+        config = {**header["config"], "seed": 7}
+        canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        legacy.write_bytes(join_checkpoint(raw, {**header, "config": config, "config_sha256":
+                                                 hashlib.sha256(canon.encode()).hexdigest()},
+                                           body))
+        loaded, loaded_cfg = load_checkpoint(legacy)
+        np.testing.assert_array_equal(loaded.members, members)
+        assert loaded_cfg == cfg
+        dataset = tmp_path / "data.csv"
+        write_dataset_csv(dataset, sample_replicate())
+        for checkpoint in (path, legacy):
+            assert main(["evaluate", "--checkpoint", str(checkpoint), "--dataset",
+                         str(dataset), "--output-dir", str(tmp_path / checkpoint.stem)]) == 0
+        for name in ("intervals.csv", "report.json"):
+            assert ((tmp_path / "model" / name).read_bytes()
+                    == (tmp_path / "legacy" / name).read_bytes())
+
+    @pytest.mark.parametrize("section, key", [("header", "dim"), ("config", "init_var")])
+    def test_repeated_header_key_is_rejected(self, tmp_path, section, key):
+        # json.loads would keep the last value, and the hash covers only what it keeps
+        path, *_ = self.roundtrip(tmp_path)
+        raw = path.read_bytes()
+        header, body = split_checkpoint(raw)
+        value = (header if section == "header" else header["config"])[key]
+        pair = f"{json.dumps(key)}: {json.dumps(value)}"
+        text = json.dumps(header, sort_keys=True).replace(pair, f"{pair}, {pair}", 1).encode()
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text + body)
+        with pytest.raises(DataFormatError, match=f"corrupt header .*key '{key}' is repeated"):
             load_checkpoint(path)
 
     # the first seven cases keep ids that name the rule each one breaks

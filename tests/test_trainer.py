@@ -19,7 +19,7 @@ from menkf.trainer import (Batch, MenkfConfig, _apply_fixed, _forecast,
 
 
 def linear_config(p=2, q=2, **kw):
-    base = dict(ensemble_size=60, init_var=4.0, batch_size=8, seed=0)
+    base = dict(ensemble_size=60, init_var=4.0, batch_size=8)
     base.update(kw)
     return MenkfConfig(arm_f=ArmSpec(p, (), "identity"),
                        arm_g=ArmSpec(q, (), "identity"), **base)
