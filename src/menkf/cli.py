@@ -30,7 +30,7 @@ from .arms import ArmSpec
 from .exceptions import ConfigError, DataFormatError, InvalidInputError, MenkfError
 from .numerics import RngStream
 from .simgen import SCENARIOS, Replicate, SimConfig, gen_base_probs, gen_replicates, split
-from .storage import (from_dict, load_checkpoint, read_dataset_csv, read_json,
+from .storage import (_plain, from_dict, load_checkpoint, read_dataset_csv, read_json,
                       save_checkpoint, to_dict, write_dataset_csv, write_json,
                       write_manifest, write_rows_csv)
 from .trainer import MenkfConfig, fit, make_batches, sigmoid
@@ -137,6 +137,8 @@ def load_run_config(path) -> RunConfig:
     env_seed = os.environ.get("MENKF_SEED")
     if env_seed is not None:
         try:
+            if not _plain(env_seed):  # int() strips padding, reads "4_1" and non-ASCII digits
+                raise ValueError(env_seed)
             seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"MENKF_SEED={env_seed!r} is not an integer") from None

@@ -47,6 +47,8 @@ _MAGIC = b"MENKFCKP"
 _VERSION = 1
 _PREFIX = struct.Struct("<8sIQ")  # magic, format version, header length
 _INT64 = np.iinfo(np.int64)
+_CHUNK_CHARS = 1 << 16  # readlines hint: the lines of one bulk-parsed chunk
+_ALPHABET = b"0123456789.eE+-,\n"  # with CR, every byte a valid data line can hold
 
 
 def write_json(path, obj) -> None:
@@ -97,15 +99,17 @@ def read_dataset_csv(path) -> Replicate:
     are the lengths of its leading emb_f_* and emb_g_* runs; true_prob
     and labels are None when their columns are absent. Each line loses
     its CRLF or LF and is split on commas, with no quoting, as
-    write_rows_csv writes it. Rows are converted one at a time into one
-    float buffer, so the file's text is never held whole.
+    write_rows_csv writes it. The rows are read about 64 KiB at a time,
+    so the file's text is never held whole: np.loadtxt parses a chunk
+    in bulk when it can hold nothing the per-row rule refuses, and any
+    other chunk goes through that rule, which names the cell at fault.
     """
     try:
         with open(path, newline="\n") as fh:
             header = fh.readline()
             if not header:
                 raise DataFormatError(f"{path}: empty file")
-            return _read_rows(path, _unended(header).split(","), map(_unended, fh))
+            return _read_rows(path, _unended(header).split(","), fh)
     except UnicodeDecodeError as err:
         raise DataFormatError(f"{path}: not a readable UTF-8 CSV file ({err})") from err
 
@@ -114,7 +118,7 @@ def _unended(line: str) -> str:
     return line.removesuffix("\n").removesuffix("\r")
 
 
-def _read_rows(path, header: list[str], lines) -> Replicate:
+def _read_rows(path, header: list[str], fh) -> Replicate:
     p = len(list(takewhile(lambda name: name.startswith("emb_f_"), header)))
     q = len(list(takewhile(lambda name: name.startswith("emb_g_"), header[p:])))
     has_prob, has_label = "true_prob" in header, "label" in header
@@ -126,6 +130,52 @@ def _read_rows(path, header: list[str], lines) -> Replicate:
         raise DataFormatError(f"{path}: header column {col + 1} is {got}, expected {want}")
     n_float = p + q + 1 + has_prob  # the leading cells; label, if any, is the last
 
+    tables, labels, first_row = [], [], 2  # rows are 1-based, counting the header line
+    while lines := fh.readlines(_CHUNK_CHARS):
+        table, chunk_labels = (_bulk_rows(lines, len(header), n_float, has_label)
+                               or _each_row(path, header, n_float, has_label, lines, first_row))
+        tables.append(table)
+        labels.append(chunk_labels)
+        first_row += len(lines)
+    if not tables:
+        raise DataFormatError(f"{path}: no data rows")
+
+    def column(cols):
+        return np.concatenate([table[:, cols] for table in tables])
+
+    return Replicate(v_f=column(slice(0, p)), v_g=column(slice(p, p + q)),
+                     labels=np.concatenate(labels) if has_label else None,
+                     target_logits=column(p + q),
+                     true_prob=column(p + q + 1) if has_prob else None)
+
+
+def _bulk_rows(lines: list[str], n_cols: int, n_float: int, has_label: bool):
+    """(table, labels) of a chunk of lines, parsed by np.loadtxt; None when
+    the chunk might hold a cell the per-row rule refuses. Within the
+    alphabet loadtxt converts a cell as float() does, so a chunk that
+    passes every check here reads bitwise as _each_row would read it."""
+    text = "".join(lines)
+    crlf = sum(line.endswith("\r\n") for line in lines)
+    # one comma between cells, alphabet bytes only (so ASCII), and a CR only in a CRLF
+    if (text.count(",") != len(lines) * (n_cols - 1)
+            or text.encode().translate(None, _ALPHABET) != b"\r" * crlf):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        labels = (np.array([int(line.rpartition(",")[2]) for line in lines], dtype=np.int64)
+                  if has_label else None)
+    except (ValueError, OverflowError):  # a malformed cell, or a label outside int64
+        return None
+    if table.shape != (len(lines), n_cols) or not np.isfinite(table[:, :n_float]).all():
+        return None  # a blank line, which loadtxt skips, or a nan or inf
+    return table, labels
+
+
+def _each_row(path, header: list[str], n_float: int, has_label: bool, lines: list[str],
+              first_row: int):
+    """(table, labels) of a chunk of lines, one cell at a time; the first
+    fault raises a DataFormatError naming its row, first_row onwards, and
+    its column."""
     def parse(row_num, row, col_idx, as_int=False):
         text = row[col_idx]
         try:
@@ -141,29 +191,16 @@ def _read_rows(path, header: list[str], lines) -> Replicate:
 
     values = array.array("d")
     labels = []
-    for row_num, line in enumerate(lines, start=2):  # 1-based, counting the header line
+    for row_num, line in enumerate(map(_unended, lines), start=first_row):
         row = line.split(",")
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
-        try:
-            converted = tuple(map(float, row[:n_float]))
-            ok = _plain(line) and math.isfinite(sum(converted))  # nan or inf spoils the sum
-        except ValueError:
-            ok = False
-        if not ok:  # find the cell at fault; a sum that merely overflowed passes
-            converted = tuple(parse(row_num, row, c) for c in range(n_float))
-        values.extend(converted)
+        values.extend(parse(row_num, row, c) for c in range(n_float))
         if has_label:
             labels.append(parse(row_num, row, n_float, as_int=True))
-    if not values:
-        raise DataFormatError(f"{path}: no data rows")
-    table = np.frombuffer(values, dtype=float).reshape(-1, n_float)
-    return Replicate(v_f=np.ascontiguousarray(table[:, :p]),
-                     v_g=np.ascontiguousarray(table[:, p:p + q]),
-                     labels=np.array(labels, dtype=np.int64) if has_label else None,
-                     target_logits=table[:, p + q].copy(),
-                     true_prob=table[:, p + q + 1].copy() if has_prob else None)
+    return (np.frombuffer(values, dtype=float).reshape(-1, n_float),
+            np.array(labels, dtype=np.int64) if has_label else None)
 
 
 # ----------------------------------------------------------- config schema

@@ -125,6 +125,16 @@ class TestRunConfigParsing:
         assert line == f"menkf: {named} must be in [0, 2**64 - 1], got {env or seed}"
         assert not (tmp_path / "out").exists()
 
+    # int() strips the padding, reads 4_1 as 41 and reads Arabic-Indic digits
+    @pytest.mark.parametrize("env", [" 4_1 ", "\u0664\u0661"])
+    def test_seed_env_must_be_a_plain_integer(self, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv("MENKF_SEED", env)
+        config = write_config(tmp_path)
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"menkf: MENKF_SEED={env!r} is not an integer"
+        assert not (tmp_path / "out").exists()
+
     def test_seed_range_ends(self):
         assert from_dict(RunConfig, {"seed": 2**64 - 1}).seed == 2**64 - 1
         assert from_dict(RunConfig, {"seed": 0}).seed == 0

@@ -6,6 +6,7 @@ import json
 import re
 import struct
 import typing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from menkf import storage
 from menkf.arms import ArmSpec
 from menkf.cli import RunConfig, main
 from menkf.enkf import Ensemble
@@ -244,6 +246,128 @@ class TestDatasetCsvErrors:
         text = "emb_f_0,emb_g_0,target_logit\n0.5,1.0\n"
         with pytest.raises(DataFormatError, match="row 2 has 2 fields, expected 3"):
             read_dataset_csv(self.write(tmp_path, text))
+
+
+def reader_chunks(path) -> list[list[str]]:
+    """The data lines of path as the reader cuts them into chunks."""
+    with open(path, newline="\n") as fh:
+        fh.readline()
+        return list(iter(lambda: fh.readlines(storage._CHUNK_CHARS), []))
+
+
+def read_row_by_row(path) -> Replicate:
+    """Reference parse: read_dataset_csv with every chunk sent to the per-row parser."""
+    with mock.patch.object(storage, "_bulk_rows", lambda *args: None):
+        return read_dataset_csv(path)
+
+
+def read_outcome(read, path):
+    """The DataFormatError message of read(path), or its arrays as dtype,
+    shape and bytes (None for an absent column)."""
+    try:
+        rep = read(path)
+    except DataFormatError as err:
+        return str(err)
+    arrays = (rep.v_f, rep.v_g, rep.target_logits, rep.true_prob, rep.labels)
+    assert all(a.flags.c_contiguous for a in arrays if a is not None)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+# cells in the bulk parser's alphabet: some float() refuses, one it reads as inf,
+# some it reads though repr never writes them; labels at and past the int64 ends
+ALPHABET_CELLS = ["", "+", "1e", "..", ".5", "5.", "-0", "1E+05", "1e999", "1e-400"]
+INT64_LABELS = [-2**63 - 1, -2**63, 2**63 - 1, 2**63]
+
+
+@st.composite
+def chunked_csvs(draw):
+    """The text of a dataset CSV of at least three reader chunks: one valid
+    line repeated, with a few lines replaced by drawn rows."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    has_prob, has_label = draw(st.booleans()), draw(st.booleans())
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    n_float = p + q + 1 + has_prob
+    cell = FINITE.map(repr) | st.sampled_from(ALPHABET_CELLS)
+    label = st.sampled_from(INT64_LABELS).map(str) | st.integers(-3, 3).map(str) | cell
+    row = st.tuples(st.lists(cell, min_size=n_float, max_size=n_float), label).map(
+        lambda cells: ",".join(cells[0] + [cells[1]] * has_label))
+    filler = ",".join([repr(i + 1 / 3) for i in range(n_float)] + ["1"] * has_label)
+    n_rows = 3 * storage._CHUNK_CHARS // len(filler + eol) + 16
+    lines = [",".join(dataset_header(p, q, has_prob, has_label))] + [filler] * n_rows
+    for at, text in draw(st.lists(st.tuples(st.integers(1, n_rows), row), max_size=6)):
+        lines[at] = text
+    return eol.join(lines) + eol
+
+
+class TestChunkedDatasetCsv:
+    """The bulk parser of whole chunks against the per-row parser."""
+
+    @given(chunked_csvs())
+    @settings(max_examples=100, deadline=None)
+    def test_bulk_read_equals_row_by_row_read(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("chunks") / "data.csv"
+        path.write_bytes(text.encode())
+        assert len(reader_chunks(path)) >= 3
+        assert read_outcome(read_dataset_csv, path) == read_outcome(read_row_by_row, path)
+
+    def big_csv(self, tmp_path):
+        """A valid CSV of 1,500 rows, CRLF line ends, at least three chunks."""
+        rep = sample_replicate(n=1500, p=3, q=3, seed=7)
+        path = tmp_path / "big.csv"
+        write_dataset_csv(path, rep)
+        assert len(reader_chunks(path)) >= 3
+        return path, rep
+
+    def test_bulk_path_reads_a_valid_file(self, tmp_path):
+        # a bulk parser that bailed out on every chunk would still pass every
+        # other reader test, through the per-row parser
+        path, rep = self.big_csv(tmp_path)
+        bulk = mock.Mock(wraps=storage._bulk_rows)
+        with mock.patch.object(storage, "_bulk_rows", bulk), \
+                mock.patch.object(storage, "_each_row", side_effect=AssertionError("per-row")):
+            loaded = read_dataset_csv(path)
+        assert bulk.call_count == len(reader_chunks(path))
+        for got, want in ((loaded.v_f, rep.v_f), (loaded.v_g, rep.v_g),
+                          (loaded.target_logits, rep.target_logits),
+                          (loaded.true_prob, rep.true_prob), (loaded.labels, rep.labels)):
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("end", ["", "\r"], ids=["no final LF", "final lone CR"])
+    def test_last_line_without_lf_reads_as_the_full_file(self, tmp_path, end):
+        path, _ = self.big_csv(tmp_path)
+        full = read_outcome(read_dataset_csv, path)
+        path.write_bytes(path.read_bytes().removesuffix(b"\r\n") + end.encode())
+        assert read_outcome(read_dataset_csv, path) == full
+        assert read_outcome(read_row_by_row, path) == full
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda cells: cells[:4] + ["x"] + cells[5:],
+                     "column 'emb_g_1': 'x' is not a finite number", id="bad float"),
+        pytest.param(lambda cells: cells[:-1] + [str(2**63)],
+                     f"column 'label': '{2**63}' is not an int64 integer", id="bad label"),
+        pytest.param(lambda cells: cells[:-1], "has 8 fields, expected 9", id="short row"),
+        pytest.param(lambda cells: cells[:2] + [cells[2] + "\r"] + cells[3:],
+                     "column 'emb_f_2': {cell!r} is not a finite number", id="lone CR"),
+        pytest.param(lambda cells: [""], "has 1 fields, expected 9", id="blank line"),
+    ])
+    def test_fault_in_third_chunk_names_its_absolute_row(self, tmp_path, edit, message):
+        path, _ = self.big_csv(tmp_path)
+        header, *lines = path.read_bytes().decode().splitlines(keepends=True)
+        first, second, third, *_ = reader_chunks(path)
+        at = len(first) + len(second) + len(third) // 2  # mid third chunk
+        cells = lines[at].removesuffix("\r\n").split(",")
+        lines[at] = ",".join(edit(cells)) + "\r\n"
+        path.write_bytes("".join([header, *lines]).encode())
+        first, second, third, *_ = reader_chunks(path)
+        assert len(first) + len(second) <= at < len(first) + len(second) + len(third)
+        row = at + 2  # the header is row 1
+        expected = f"{path}: row {row} " if "fields" in message else f"{path}: row {row}, "
+        expected += message.format(cell=cells[2] + "\r")
+        with pytest.raises(DataFormatError) as err:
+            read_dataset_csv(path)
+        assert str(err.value) == expected
+        assert read_outcome(read_row_by_row, path) == expected
 
 
 class TestConfigDict:

@@ -109,6 +109,24 @@ class TestIntervalArrays:
             assert lo[j] == empirical_quantile(col.copy(), 0.025)
             assert hi[j] == empirical_quantile(col.copy(), 0.975)
 
+    # logits of +-800 saturate to exactly 0.0 and 1.0, so the sorted rows tie at
+    # both ends, where the quantile's interpolation reads equal order statistics
+    @given(st.integers(1, 240).flatmap(lambda n: hnp.arrays(
+        float, st.tuples(st.just(n), st.integers(1, 9)),
+        elements=st.sampled_from([-800.0, 800.0, 0.5]) | st.floats(-40.0, 40.0))))
+    @example(np.array([[-800.0, 800.0], [800.0, -800.0]]))
+    @example(np.full((216, 3), 800.0))
+    @settings(max_examples=150, deadline=None)
+    def test_saturated_draws_equal_per_row_rule_bitwise(self, logits):
+        e, v_f, v_g, layout, spec_f, spec_g = logit_table_ensemble(logits)
+        point, lo, hi = interval_arrays(e, v_f, v_g, layout, spec_f, spec_g)
+        draws = sigmoid(logits)
+        for j in range(logits.shape[1]):
+            col = draws[:, j]
+            assert point[j] == float(np.mean(col.copy()))
+            assert lo[j] == empirical_quantile(col.copy(), 0.025)
+            assert hi[j] == empirical_quantile(col.copy(), 0.975)
+
     def test_predict_wraps_the_arrays(self):
         logits = np.random.default_rng(4).standard_normal((216, 5))
         args = logit_table_ensemble(logits)
