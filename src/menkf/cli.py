@@ -258,9 +258,15 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
     jobs = [(j, rep, cfg) for j, rep in enumerate(reps)]
     if use_parallel and len(jobs) > 1:
         import concurrent.futures  # only --parallel pays for it (and for logging)
+        from concurrent.futures.process import BrokenProcessPool
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(os.cpu_count() or 1, len(jobs))) as pool:
-            results = list(pool.map(_study_worker, jobs))
+            try:
+                results = list(pool.map(_study_worker, jobs))
+            except BrokenProcessPool:  # a worker killed, e.g. by the OOM killer
+                print("menkf: replicate-study: a worker process ended abruptly; "
+                      "no study written", file=sys.stderr)
+                return 2
     else:
         results = [_study_worker(job) for job in jobs]
 

@@ -48,7 +48,6 @@ _VERSION = 1
 _PREFIX = struct.Struct("<8sIQ")  # magic, format version, header length
 _INT64 = np.iinfo(np.int64)
 _CHUNK_CHARS = 1 << 16  # readlines hint: the lines of one bulk-parsed chunk
-_ALPHABET = b"0123456789.eE+-,\n"  # with CR, every byte a valid data line can hold
 
 
 def write_json(path, obj) -> None:
@@ -67,7 +66,7 @@ def _unique_keys(pairs: list) -> dict:
 def read_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
-    except ValueError as err:  # not UTF-8, not JSON, a repeated key or a too-long integer
+    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or nested too deep
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
 
 
@@ -87,9 +86,9 @@ def write_dataset_csv(path, rep: Replicate) -> None:
 
 
 def _plain(text: str) -> bool:
-    # float() and int() also read "1_0" as 10, non-ASCII digits, and a cell padded with
-    # the ASCII whitespace they strip; a cell holds none of them
-    return text.isascii() and not any(map(text.__contains__, "_ \t\n\r\v\f"))
+    # a text float() reads as finite, or int() reads, is of these bytes unless it holds
+    # a "_", a non-ASCII digit or padding whitespace, none of which a cell may hold
+    return text.isascii() and not text.encode().translate(None, b"0123456789.eE+-,")
 
 
 def read_dataset_csv(path) -> Replicate:
@@ -98,11 +97,11 @@ def read_dataset_csv(path) -> Replicate:
     The header must be dataset_header(p, q, ...) exactly, where p and q
     are the lengths of its leading emb_f_* and emb_g_* runs; true_prob
     and labels are None when their columns are absent. Each line loses
-    its CRLF or LF and is split on commas, with no quoting, as
+    its line end and is split on commas, with no quoting, as
     write_rows_csv writes it. The rows are read about 64 KiB at a time,
     so the file's text is never held whole: np.loadtxt parses a chunk
-    in bulk when it can hold nothing the per-row rule refuses, and any
-    other chunk goes through that rule, which names the cell at fault.
+    in bulk, and a chunk it cannot read goes to the per-row parser,
+    which names the cell at fault.
     """
     try:
         with open(path, newline="\n") as fh:
@@ -151,14 +150,10 @@ def _read_rows(path, header: list[str], fh) -> Replicate:
 
 def _bulk_rows(lines: list[str], n_cols: int, n_float: int, has_label: bool):
     """(table, labels) of a chunk of lines, parsed by np.loadtxt; None when
-    the chunk might hold a cell the per-row rule refuses. Within the
-    alphabet loadtxt converts a cell as float() does, so a chunk that
-    passes every check here reads bitwise as _each_row would read it."""
-    text = "".join(lines)
-    crlf = sum(line.endswith("\r\n") for line in lines)
-    # one comma between cells, alphabet bytes only (so ASCII), and a CR only in a CRLF
-    if (text.count(",") != len(lines) * (n_cols - 1)
-            or text.encode().translate(None, _ALPHABET) != b"\r" * crlf):
+    _each_row would refuse the chunk. On _plain text loadtxt converts a
+    cell as float() does, so a chunk read here reads bitwise as _each_row
+    would read it, and every chunk _each_row reads is read here."""
+    if not _plain("".join(map(_unended, lines))):
         return None
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
@@ -175,7 +170,8 @@ def _each_row(path, header: list[str], n_float: int, has_label: bool, lines: lis
               first_row: int):
     """(table, labels) of a chunk of lines, one cell at a time; the first
     fault raises a DataFormatError naming its row, first_row onwards, and
-    its column."""
+    its column. It runs only on a chunk _bulk_rows refused, to name the
+    fault, and it is the reference the tests compare _bulk_rows against."""
     def parse(row_num, row, col_idx, as_int=False):
         text = row[col_idx]
         try:
@@ -229,7 +225,7 @@ def from_dict(cls, doc, where: str = ""):
     """
     section = where or "config"
     if not isinstance(doc, dict):
-        raise ConfigError(f"{section}: expected an object, got {json.dumps(doc)}")
+        raise ConfigError(f"{section}: expected an object, got {_shown(doc)}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(doc) - set(fields))
     if unknown:
@@ -248,6 +244,13 @@ def from_dict(cls, doc, where: str = ""):
         raise ConfigError(f"{section}: {err}") from err
 
 
+def _shown(value) -> str:
+    try:
+        return json.dumps(value)
+    except RecursionError:  # a JSON value can nest deeper than json.dumps recurses
+        return f"a {type(value).__name__} nested too deeply to show"
+
+
 def _from_json(tp, value, where: str):
     if dataclasses.is_dataclass(tp):
         return from_dict(tp, value, where)
@@ -257,7 +260,7 @@ def _from_json(tp, value, where: str):
         (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
     if typing.get_origin(tp) is tuple:  # tuple[X, ...]
         if not isinstance(value, list):
-            raise ConfigError(f"{where}: expected a list, got {json.dumps(value)}")
+            raise ConfigError(f"{where}: expected a list, got {_shown(value)}")
         item = typing.get_args(tp)[0]
         return tuple(_from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     if tp is float and type(value) is int:
@@ -266,7 +269,7 @@ def _from_json(tp, value, where: str):
         except OverflowError:
             pass
     if type(value) is not tp or (tp is float and not math.isfinite(value)):
-        raise ConfigError(f"{where}: expected {_EXPECTED[tp]}, got {json.dumps(value)}")
+        raise ConfigError(f"{where}: expected {_EXPECTED[tp]}, got {_shown(value)}")
     return value
 
 
@@ -330,7 +333,7 @@ def load_checkpoint(path) -> tuple[Ensemble, MenkfConfig]:
         header = from_dict(_Header, doc, "header")
     except ConfigError as err:
         raise DataFormatError(f"{path}: {err}") from err
-    except ValueError as err:  # not UTF-8, not JSON, a repeated key or a too-long integer
+    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or nested too deep
         raise DataFormatError(f"{path}: corrupt header ({err})") from err
     if header.config_sha256 != _config_hash(config):
         raise DataFormatError(f"{path}: config hash mismatch")

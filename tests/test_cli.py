@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -254,6 +255,16 @@ class TestExitCodes:
         path.write_bytes(b'\xff\xfe{"seed": 0}')  # not UTF-8
         assert main(["simulate", "--config", str(path)]) == 1
 
+    def test_config_nested_too_deeply_is_one_line(self, tmp_path, capsys):
+        # json.loads recurses once per bracket
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["simulate", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"menkf: {path}: invalid JSON (maximum recursion depth")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key(self, tmp_path):
         path = write_config(tmp_path, {"optimizer": "adam"})
         assert main(["simulate", "--config", path]) == 1
@@ -442,6 +453,18 @@ class TestExitCodes:
         study = json.loads(text, parse_constant=no_constants)
         assert sorted(study["failures"]) == ["0", "1"]
         assert study["aggregates"]["coverage_pooled"] is None
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forked worker sees the patched module")
+    def test_dead_study_worker_is_one_line(self, tmp_path, monkeypatch, capsys):
+        # as a worker the OOM killer ends
+        monkeypatch.setattr("menkf.cli.run_study_replicate", lambda *args: os._exit(3))
+        assert main(["replicate-study", "--config", write_config(tmp_path),
+                     "--output-dir", str(tmp_path / "out"), "--parallel"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("menkf: replicate-study: a worker process ended abruptly; "
+                        "no study written")
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("sizes, named", [
         ({"train_n": 15, "test_n": 0}, "split: test_n"),

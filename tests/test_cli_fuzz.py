@@ -55,6 +55,8 @@ DEFAULTS = to_dict(RunConfig())
 CONFIG = {key: {**value, **TINY.get(key, {})} if isinstance(value, dict) else value
           for key, value in DEFAULTS.items()}  # every key of the run config, tiny
 REPEAT = "\0repeat\0"  # a key no drawn text holds
+# nesting depths on both sides of where json.loads and json.dumps stop recursing
+DEPTHS = st.integers(1, 2000) | st.just(100_000)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,21 @@ def truncations(raw):
     return st.integers(0, len(raw) - 1).map(lambda k: raw[:k])
 
 
+def nested(depth, as_object):
+    """JSON text of a list, or an object, nested depth deep."""
+    return '{"a": ' * depth + "0" + "}" * depth if as_object else "[" * depth + "]" * depth
+
+
+def deeply_nested(text_with, paths):
+    """The whole document, or the value at one of paths, nested DEPTHS deep;
+    text_with(path, value) is the document's text with that value there."""
+    def deep(path, depth, as_object):
+        inner = nested(depth, as_object)
+        return text_with(path, REPEAT).replace(json.dumps(REPEAT), inner) if path else inner
+
+    return st.builds(deep, st.sampled_from([(), *paths]), DEPTHS, st.booleans())
+
+
 def mutated_csv(raw):
     """Truncation, one flipped byte, or up to three cells replaced."""
     lines = raw.decode().split("\r\n")
@@ -99,8 +116,8 @@ def mutated_csv(raw):
 def mutated_checkpoint(raw):
     """Truncation, one flipped byte, every coordinate of one member made huge,
     a header value replaced, a header key given twice, a dim that does not
-    fit the layout (the body resized to match), or a header float made NaN
-    or infinite."""
+    fit the layout (the body resized to match), a header float made NaN
+    or infinite, or the header or one value in it nested deeply."""
     header_len = PREFIX.unpack_from(raw)[2]
     header = json.loads(raw[PREFIX.size:PREFIX.size + header_len])
     body = raw[PREFIX.size + header_len:]
@@ -114,13 +131,16 @@ def mutated_checkpoint(raw):
         return raw[:-len(body)] + body[:member * row] + struct.pack("<d", value) * header[
             "dim"] + body[(member + 1) * row:]
 
-    def replaced(path, value):
+    def edited(path, value):
         doc = json.loads(json.dumps(header))
         target = doc
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-        return join(json.dumps(doc, sort_keys=True))
+        return json.dumps(doc, sort_keys=True)
+
+    def replaced(path, value):
+        return join(edited(path, value))
 
     def twice(key, value, first):
         extra = f"{json.dumps(key)}: {json.dumps(value)}"
@@ -142,7 +162,8 @@ def mutated_checkpoint(raw):
         st.builds(twice, st.sampled_from(sorted(header)), JSON_SCALARS, st.booleans()),
         st.integers(1, 64).filter(lambda d: d != header["dim"]).map(resized),
         st.builds(replaced, st.sampled_from(float_paths),
-                  st.sampled_from([float("nan"), float("inf"), float("-inf")])))
+                  st.sampled_from([float("nan"), float("inf"), float("-inf")])),
+        deeply_nested(edited, paths).map(join))
 
 
 def key_paths(doc, prefix=()):
@@ -155,8 +176,8 @@ def key_paths(doc, prefix=()):
 def mutated_config(doc):
     """Up to three values replaced by values of their JSON type (among them
     seeds past 64 bits, integers up to 10**400, NaN and Infinity), one value
-    or section replaced by any JSON value, or one key of the top level or of
-    a section given twice."""
+    or section replaced by any JSON value, one key of the top level or of
+    a section given twice, or the config or one value in it nested deeply."""
     paths = sorted(key_paths(doc))
 
     def of_type(path):
@@ -186,7 +207,8 @@ def mutated_config(doc):
                      st.lists(typed, min_size=1, max_size=3).map(replaced),
                      st.tuples(st.sampled_from([path for path in paths if path not in LOOPS]),
                                JSON_VALUES).map(lambda change: replaced([change])),
-                     st.builds(twice, st.sampled_from(paths), st.none() | INTEGERS, st.booleans()))
+                     st.builds(twice, st.sampled_from(paths), st.none() | INTEGERS, st.booleans()),
+                     deeply_nested(lambda path, value: replaced([(path, value)]), paths))
 
 
 CONFIG_MUTATIONS = mutated_config(CONFIG)  # built once: building it costs more than a draw

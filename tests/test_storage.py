@@ -168,7 +168,7 @@ class TestDatasetCsvErrors:
         # float() also reads 1_0 as 10 and an Arabic-Indic digit as its value
         # and the padding whitespace float() strips, though the writer never pads
         for cell in ("oops", "nan", "inf", "-Infinity", "1_0", "\u0661", "1.\u0665",
-                     " 1.0", "1.0\t"):
+                     " 1.0", "1.0\t", "0x1", "Infinity", "1.5j"):
             text = ("emb_f_0,emb_g_0,target_logit\n"
                     "0.5,1.0,-0.2\n"
                     f"0.1,{cell},0.3\n")
@@ -242,6 +242,15 @@ class TestDatasetCsvErrors:
                 read_dataset_csv(self.write(tmp_path, text))
             assert f"row {row + 2}, column '{column}': '{cell}' is not {kind}" in str(err.value)
 
+    # float() reads these though repr never writes them; so does the bulk parser
+    @pytest.mark.parametrize("cell", ["+.5", "5.", "-0", "1E+05"])
+    def test_plain_cell_reads_as_float_reads_it(self, tmp_path, cell):
+        path = self.write(tmp_path, f"emb_f_0,emb_g_0,target_logit\n0.5,{cell},-0.2\n")
+        with mock.patch.object(storage, "_each_row", side_effect=AssertionError("per-row")):
+            bulk = read_dataset_csv(path)
+        assert bulk.v_g.tobytes() == np.array([[float(cell)]]).tobytes()
+        assert read_outcome(read_row_by_row, path) == read_outcome(read_dataset_csv, path)
+
     def test_short_row_reports_count(self, tmp_path):
         text = "emb_f_0,emb_g_0,target_logit\n0.5,1.0\n"
         with pytest.raises(DataFormatError, match="row 2 has 2 fields, expected 3"):
@@ -275,7 +284,7 @@ def read_outcome(read, path):
 
 # cells in the bulk parser's alphabet: some float() refuses, one it reads as inf,
 # some it reads though repr never writes them; labels at and past the int64 ends
-ALPHABET_CELLS = ["", "+", "1e", "..", ".5", "5.", "-0", "1E+05", "1e999", "1e-400"]
+ALPHABET_CELLS = ["", "+", "1e", "..", ".5", "5.", "-0", "1E+05", "1e999", "1e-400", "+.5"]
 INT64_LABELS = [-2**63 - 1, -2**63, 2**63 - 1, 2**63]
 
 
@@ -332,6 +341,22 @@ class TestChunkedDatasetCsv:
                           (loaded.true_prob, rep.true_prob), (loaded.labels, rep.labels)):
             assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
             assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("eol, end", [("\r\n", "\r\n"), ("\n", "\n"), ("\r\n", ""),
+                                          ("\r\n", "\r")],
+                             ids=["CRLF", "LF", "no final LF", "final lone CR"])
+    def test_every_valid_file_reads_in_bulk(self, tmp_path, eol, end):
+        # the per-row parser runs only on a chunk it refuses
+        path, rep = self.big_csv(tmp_path)
+        text = path.read_bytes().decode().replace("\r\n", eol)
+        path.write_bytes((text.removesuffix(eol) + end).encode())
+        assert len(reader_chunks(path)) >= 3
+        with mock.patch.object(storage, "_each_row", side_effect=AssertionError("per-row")):
+            loaded = read_dataset_csv(path)
+        for got, want in ((loaded.v_f, rep.v_f), (loaded.v_g, rep.v_g),
+                          (loaded.target_logits, rep.target_logits),
+                          (loaded.true_prob, rep.true_prob), (loaded.labels, rep.labels)):
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
 
     @pytest.mark.parametrize("end", ["", "\r"], ids=["no final LF", "final lone CR"])
     def test_last_line_without_lf_reads_as_the_full_file(self, tmp_path, end):
@@ -397,6 +422,15 @@ class TestConfigDict:
         doc["ensemble_size"] = 1
         with pytest.raises(ConfigError):
             from_dict(MenkfConfig, doc)
+
+    def test_value_nested_too_deeply_to_show_is_named(self):
+        # json.dumps of the value for the message would recurse past the limit
+        value = []
+        for _ in range(5000):
+            value = [value]
+        with pytest.raises(ConfigError, match=re.escape(
+                "trainer.hidden_dims_f[0]: expected an integer, got a list nested too deeply")):
+            from_dict(RunConfig, {"trainer": {"hidden_dims_f": value}})
 
     def test_optional_float_accepts_null_and_integers(self):
         doc = to_dict(sample_config())
@@ -619,6 +653,20 @@ class TestCheckpoint:
                      "--output-dir", str(tmp_path / "eval")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("menkf: ") and err.count("\n") == 1, err
+
+    def test_header_nested_too_deeply_is_one_line(self, tmp_path, capsys):
+        # json.loads recurses once per bracket
+        path, *_ = self.roundtrip(tmp_path)
+        raw = path.read_bytes()
+        _, body = split_checkpoint(raw)
+        text = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text + body)
+        dataset = tmp_path / "data.csv"
+        write_dataset_csv(dataset, sample_replicate())
+        assert main(["evaluate", "--checkpoint", str(path), "--dataset", str(dataset),
+                     "--output-dir", str(tmp_path / "eval")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"menkf: {path}: corrupt header (maximum recursion depth")
 
     def test_save_refuses_an_ensemble_of_another_size(self, tmp_path):
         cfg = sample_config()
