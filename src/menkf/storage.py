@@ -203,6 +203,8 @@ def _each_row(path, header: list[str], n_float: int, has_label: bool, lines: lis
 
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a finite number",
              str: "a string"}
+_SHOWN_DEPTH = 32  # a value inside more lists and objects is named, not quoted
+_SHOWN_CHARS = 80  # a longer quote is cut to this many characters, "..." last
 
 
 def to_dict(cfg) -> dict:
@@ -245,10 +247,16 @@ def from_dict(cls, doc, where: str = ""):
 
 
 def _shown(value) -> str:
-    try:
-        return json.dumps(value)
-    except RecursionError:  # a JSON value can nest deeper than json.dumps recurses
-        return f"a {type(value).__name__} nested too deeply to show"
+    """value's JSON text for a message, cut to _SHOWN_CHARS; its depth is
+    walked level by level, so the text does not depend on the caller's stack."""
+    level = [value]
+    for _ in range(_SHOWN_DEPTH + 1):
+        level = [child for item in level if isinstance(item, (list, dict))
+                 for child in (item.values() if isinstance(item, dict) else item)]
+        if not level:
+            text = json.dumps(value)
+            return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 3] + "..."
+    return f"a {type(value).__name__} nested too deeply to show"
 
 
 def _from_json(tp, value, where: str):

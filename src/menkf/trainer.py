@@ -30,6 +30,8 @@ from .numerics import RngStream
 _VARIANCE_INITS = ("gaussian", "gamma_shape_scale")
 _GAMMA_SHAPE = 100.0
 _GAMMA_SCALE = 0.01
+_TRACE_COLUMNS = ("step", "pass_index", "batch_index", "weight_g", "noise_var",
+                  "innovation_norm")
 
 
 def sigmoid(x):
@@ -133,11 +135,10 @@ class Batch:
 
 def make_batches(v_f, v_g, y, batch_size: int) -> list[Batch]:
     """Chunk a dataset into contiguous batches; the last one may be short."""
-    v_f = np.asarray(v_f, dtype=float)
-    v_g = np.asarray(v_g, dtype=float)
-    y = np.asarray(y, dtype=float)
+    if batch_size < 1:
+        raise InvalidInputError(f"batch_size must be >= 1, got {batch_size}")
     return [Batch(v_f[i:i + batch_size], v_g[i:i + batch_size], y[i:i + batch_size])
-            for i in range(0, y.shape[0], batch_size)]
+            for i in range(0, len(y), batch_size)]
 
 
 def _apply_fixed(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout) -> None:
@@ -223,11 +224,11 @@ def _forecast(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout,
     return members
 
 
-def _step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
-          rng: RngStream, batch_index: int | None) -> tuple[Ensemble, np.ndarray]:
-    """train_step, also returning the forecast members' (N, m) predicted
-    logits that the analysis used."""
-    members = _forecast(e.members, cfg, layout, rng.child(0))
+def _step(members: np.ndarray, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
+          rng: RngStream, batch_index: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """train_step on the bare (N, d) members, also returning the forecast
+    members' (N, m) predicted logits that the analysis used."""
+    members = _forecast(members, cfg, layout, rng.child(0))
     predictions = arm_averaged_logits(members, batch.v_f, batch.v_g, layout,
                                       cfg.arm_f, cfg.arm_g)
     obs_var = softplus(members[:, layout.b_index])
@@ -240,7 +241,7 @@ def _step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
     except InvalidInputError as err:  # obs_var: softplus(b) is 0 below b = -745
         raise NumericError(f"{err}{where}") from err
     _apply_fixed(updated, cfg, layout)
-    return Ensemble(updated), predictions
+    return updated, predictions
 
 
 def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
@@ -257,54 +258,49 @@ def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
     rng children: 0 drives the (optional) transition jitter, 1 drives the
     observation perturbations, drawn as one (N, m) block.
     """
-    return _step(e, batch, cfg, layout, rng, batch_index)[0]
+    return Ensemble(_step(e.members, batch, cfg, layout, rng, batch_index)[0])
 
 
 def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, dict]:
-    """Run the filter over all batches for cfg.passes_over_data passes.
+    """Run the filter over one schedule of steps: pass p of
+    cfg.passes_over_data visits every batch once, in order, or in the
+    permutation drawn from rng child 1.p when cfg.shuffle_batches, and
+    step t uses rng child 2 + t (child 0 initializes the ensemble). With
+    one batch and one pass this is exactly init_ensemble followed by a
+    single train_step. Steps pass bare (N, d) arrays, so the members are
+    checked as an Ensemble once, on return.
 
-    Returns the final ensemble and the trace, the columns of trace.csv in
-    order with one entry per step: step (t, over all passes), pass_index,
-    batch_index, weight_g and noise_var (sigmoid and softplus of the
-    post-update ensemble means of a and b), and innovation_norm
-    (||y - mean(predictions)|| over the forecast members, after jitter and
-    pinning and before the update). A step whose update or trace entry
+    The trace holds trace.csv's _TRACE_COLUMNS in order, one entry per
+    step: step (t), pass_index, batch_index, weight_g and noise_var
+    (sigmoid and softplus of the post-update means of a and b), and
+    innovation_norm (||y - mean(predictions)|| over the forecast members,
+    after jitter and pinning). A step whose update or trace entry
     overflows, or makes a NaN, is a NumericError naming its batch.
-
-    rng children: 0 initializes the ensemble, 1 shuffles batch order
-    (child 1.p for pass p, when cfg.shuffle_batches), 2 + t drives step t.
-    With one batch and one pass this is exactly init_ensemble followed by
-    a single train_step.
     """
     batches = list(batches)
     if not batches:
         raise InvalidInputError("need at least one batch")
+    n = len(batches)
+    schedule = [(p, b) for p in range(cfg.passes_over_data)
+                for b in (rng.child(1).child(p).generator().permutation(n).tolist()
+                          if cfg.shuffle_batches else range(n))]
     layout = cfg.layout()
-    ens = init_ensemble(cfg, layout, rng.child(0))
-    trace = {name: [] for name in ("step", "pass_index", "batch_index", "weight_g",
-                                   "noise_var", "innovation_norm")}
-    step = 0
-    for pass_index in range(cfg.passes_over_data):
-        order = list(range(len(batches)))
-        if cfg.shuffle_batches:
-            order = rng.child(1).child(pass_index).generator().permutation(len(batches)).tolist()
-        for batch_index in order:
-            batch = batches[batch_index]
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    ens, predictions = _step(ens, batch, cfg, layout, rng.child(2 + step),
+    members = init_ensemble(cfg, layout, rng.child(0)).members
+    rows = []
+    for step, (pass_index, batch_index) in enumerate(schedule):
+        batch = batches[batch_index]
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                members, predictions = _step(members, batch, cfg, layout, rng.child(2 + step),
                                              batch_index)
-                    entry = (step, pass_index, batch_index,
-                             float(sigmoid(ens.members[:, layout.a_index].mean())),
-                             float(softplus(ens.members[:, layout.b_index].mean())),
-                             float(np.linalg.norm(batch.y - predictions.mean(axis=0))))
-            except FloatingPointError as err:
-                raise NumericError(f"filter step is not finite at batch {batch_index} "
-                                   f"({err})") from err
-            for column, value in zip(trace.values(), entry):
-                column.append(value)
-            step += 1
-    return ens, trace
+                rows.append((step, pass_index, batch_index,
+                             float(sigmoid(members[:, layout.a_index].mean())),
+                             float(softplus(members[:, layout.b_index].mean())),
+                             float(np.linalg.norm(batch.y - predictions.mean(axis=0)))))
+        except FloatingPointError as err:
+            raise NumericError(f"filter step is not finite at batch {batch_index} "
+                               f"({err})") from err
+    return Ensemble(members), dict(zip(_TRACE_COLUMNS, map(list, zip(*rows))))
 
 
 def build_vec_operator(obs_matrix, column_weights) -> np.ndarray:

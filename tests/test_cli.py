@@ -189,17 +189,21 @@ class TestDefaults:
         assert agg["mae_mean"] < constant_mae
 
 
-def run_python(code, **env_vars):
-    """Run code in a fresh interpreter that finds this menkf first, as the
-    acceptance gate's run_cli does, with env_vars added to its environment;
-    returns its stripped stdout."""
+def python(args, **env_vars) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with args that finds this menkf first, as
+    the acceptance gate's run_cli does, with env_vars added to its
+    environment."""
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(menkf.__file__).resolve().parents[1]),
                       env.get("PYTHONPATH")]))
     env.update(env_vars)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_python(code, **env_vars):
+    """python(["-c", code]), which must succeed; returns its stripped stdout."""
+    proc = python(["-c", code], **env_vars)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -264,6 +268,18 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"menkf: {path}: invalid JSON (maximum recursion depth")
         assert not (tmp_path / "out").exists()
+
+    def test_config_message_does_not_depend_on_the_caller(self, tmp_path):
+        # from python -m and from main in a script, a value nested deeper
+        # than a message quotes gives one line, naming it
+        path = tmp_path / "deep.json"
+        path.write_text('{"trainer": {"hidden_dims_f": ' + "[" * 600 + "]" * 600 + "}}")
+        args = ["simulate", "--config", str(path), "--output-dir", str(tmp_path / "out")]
+        runs = [python(["-m", "menkf.cli", *args]),
+                python(["-c", f"from menkf.cli import main; raise SystemExit(main({args!r}))"])]
+        assert [(run.returncode, run.stderr) for run in runs] == [(1, (
+            "menkf: trainer.hidden_dims_f[0]: expected an integer, "
+            "got a list nested too deeply to show\n"))] * 2
 
     def test_unknown_config_key(self, tmp_path):
         path = write_config(tmp_path, {"optimizer": "adam"})

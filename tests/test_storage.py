@@ -432,6 +432,33 @@ class TestConfigDict:
                 "trainer.hidden_dims_f[0]: expected an integer, got a list nested too deeply")):
             from_dict(RunConfig, {"trainer": {"hidden_dims_f": value}})
 
+    def test_shown_value_does_not_depend_on_the_stack(self):
+        # json.dumps recurses once per bracket: a quote of this 200-deep list
+        # fits on a shallow stack and not on one 700 frames deeper
+        value = []
+        for _ in range(200):
+            value = [value]
+
+        def message(frames):
+            if frames:
+                return message(frames - 1)
+            with pytest.raises(ConfigError) as err:
+                from_dict(RunConfig, {"trainer": {"hidden_dims_f": value}})
+            return str(err.value)
+
+        assert message(0) == message(700) == (
+            "trainer.hidden_dims_f[0]: expected an integer, got a list nested too deeply to show")
+
+    @pytest.mark.parametrize("value", [[0.5] * 5000, "x" * 5000, {"k": "y" * 5000}],
+                             ids=["list", "string", "object"])
+    def test_long_value_is_cut(self, value):
+        with pytest.raises(ConfigError) as err:
+            from_dict(RunConfig, {"trainer": {"jitter_var": value}})
+        head, _, shown = str(err.value).partition(", got ")
+        assert head == "trainer.jitter_var: expected a finite number"
+        assert len(shown) == storage._SHOWN_CHARS and shown.endswith("...")
+        assert shown[:-3] == json.dumps(value)[:len(shown) - 3]
+
     def test_optional_float_accepts_null_and_integers(self):
         doc = to_dict(sample_config())
         assert doc["fixed_noise_var"] is None

@@ -251,6 +251,12 @@ class TestMakeBatches:
         batches = make_batches(np.ones((4, 2)), np.ones((4, 2)), np.ones(4), 100)
         assert len(batches) == 1 and batches[0].size == 4
 
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        v = np.ones((4, 2))
+        with pytest.raises(InvalidInputError, match=f"batch_size must be >= 1, got {batch_size}"):
+            make_batches(v, v, np.ones(4), batch_size)
+
     def test_batch_validation(self):
         with pytest.raises(DimensionError):
             Batch(np.ones((3, 2)), np.ones((4, 2)), np.ones(3))
@@ -476,6 +482,44 @@ class TestFit:
         assert again["batch_index"] == trace["batch_index"]
         assert all(type(b) is int for b in trace["batch_index"])
         assert json.loads(json.dumps(trace)) == trace
+
+    @pytest.mark.parametrize("pinned", [{}, PINNED], ids=["free", "pinned"])
+    def test_schedule_stream_plan(self, pinned):
+        # pass p visits the batches in root.child(1).child(p)'s permutation
+        # and schedule step t runs train_step with root.child(2 + t)
+        cfg = linear_config(ensemble_size=20, passes_over_data=3, shuffle_batches=True,
+                            jitter_var=0.01, **pinned)
+        layout = cfg.layout()
+        gen = np.random.default_rng(8)
+        batches = make_batches(gen.standard_normal((10, 2)), gen.standard_normal((10, 2)),
+                               gen.standard_normal(10), 2)
+        root = RngStream(23)
+        got, trace = fit(batches, cfg, root)
+        order = np.concatenate([root.child(1).child(p).generator().permutation(len(batches))
+                                for p in range(3)]).tolist()
+        assert trace["batch_index"] == order
+        assert trace["pass_index"] == [p for p in range(3) for _ in batches]
+        ens = init_ensemble(cfg, layout, root.child(0))
+        for t, b in enumerate(order):
+            ens = train_step(ens, batches[b], cfg, layout, root.child(2 + t))
+        assert got.members.tobytes() == ens.members.tobytes()
+
+    @pytest.mark.parametrize("passes", [1, 4])
+    def test_members_checked_once(self, monkeypatch, passes):
+        # init_ensemble builds one Ensemble and fit one more, on return;
+        # the steps between them pass bare arrays
+        built = []
+
+        def counted(members):
+            built.append(members.shape)
+            return Ensemble(members)
+
+        monkeypatch.setattr("menkf.trainer.Ensemble", counted)
+        cfg = linear_config(ensemble_size=20, passes_over_data=passes)
+        batches = [toy_batch(rows=4, seed=s) for s in range(3)]
+        _, trace = fit(batches, cfg, RngStream(2))
+        assert len(trace["step"]) == 3 * passes
+        assert built == [(20, cfg.layout().dim)] * 2
 
     def test_empty_batch_list_rejected(self):
         with pytest.raises(InvalidInputError):
