@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .arms import ArmSpec
-from .exceptions import ConfigError, DataFormatError, InvalidInputError, MenkfError
+from .exceptions import ConfigError, DataFormatError, InvalidInputError, MenkfError, shown
 from .numerics import RngStream
 from .simgen import SCENARIOS, Replicate, SimConfig, gen_base_probs, gen_replicates, split
 from .storage import (_plain, from_dict, load_checkpoint, read_dataset_csv, read_json,
@@ -88,7 +88,7 @@ class SplitSettings:
     def __post_init__(self):
         for name in ("train_n", "test_n"):
             if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise InvalidInputError(f"{name} must be >= 1, got {shown(getattr(self, name))}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class RunConfig:
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:  # RngStream reads a seed modulo 2**64
-            raise InvalidInputError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
+            raise InvalidInputError(f"seed must be in [0, 2**64 - 1], got {shown(self.seed)}")
 
     @property
     def train_n(self) -> int:
@@ -124,7 +124,7 @@ def study_preset(scenario: str) -> RunConfig:
     """
     if scenario not in SCENARIOS:
         raise ConfigError(
-            f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
+            f"unknown scenario {shown(scenario)}; expected one of {list(SCENARIOS)}")
     trainer = TrainerSettings()
     if scenario == "stacked_average":
         trainer = dataclasses.replace(trainer, ensemble_size=433, init_var=2.0,
@@ -141,7 +141,7 @@ def load_run_config(path) -> RunConfig:
                 raise ValueError(env_seed)
             seed = int(env_seed)
         except ValueError:
-            raise ConfigError(f"MENKF_SEED={env_seed!r} is not an integer") from None
+            raise ConfigError(f"MENKF_SEED={shown(env_seed)} is not an integer") from None
         try:
             cfg = dataclasses.replace(cfg, seed=seed)
         except InvalidInputError as err:
@@ -158,12 +158,12 @@ def cmd_simulate(cfg: RunConfig, output_dir: str | None = None) -> int:
     base = gen_base_probs(cfg.sim, root.child(_RNG_BASE))
     reps = gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
     files = {}
-    for j, rep in enumerate(reps):
+    for j, rep in enumerate(reps):  # each replicate is written as it is drawn
         rel = f"replicates/rep_{j:03d}.csv"
         write_dataset_csv(out / rel, rep)
         files[rel] = out / rel
     write_manifest(out / "manifest.json", cfg.seed, cfg.sim.scenario, files)
-    print(f"wrote {len(reps)} replicate datasets under {out}")
+    print(f"wrote {cfg.sim.replicates} replicate datasets under {out}")
     return 0
 
 
@@ -206,7 +206,7 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, output_dir: str) -> in
                                ("emb_g_", data.v_g.shape[1], mcfg.arm_g)):
         if found != spec.input_dim:
             raise DataFormatError(f"{dataset_path}: {block}* block has {found} columns, "
-                                  f"the checkpoint expects {spec.input_dim}")
+                                  f"the checkpoint expects {shown(spec.input_dim)}")
     started = time.perf_counter()
     report, (point, lo, hi, truth) = _evaluate_ensemble(ensemble, mcfg, data)
     elapsed = time.perf_counter() - started
@@ -246,8 +246,9 @@ def _study_worker(args) -> tuple[int, dict | None, str | None]:
 def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
                         parallel: bool | None = None) -> int:
     if cfg.train_n + cfg.test_n > cfg.sim.m:
-        raise ConfigError(f"split.train_n + split.test_n = {cfg.train_n} + {cfg.test_n} "
-                          f"exceeds sim.m = {cfg.sim.m} rows per replicate")
+        raise ConfigError(f"split.train_n + split.test_n = {shown(cfg.train_n)} + "
+                          f"{shown(cfg.test_n)} exceeds sim.m = {shown(cfg.sim.m)} "
+                          "rows per replicate")
     out = Path(output_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     use_parallel = cfg.parallel if parallel is None else parallel
@@ -255,14 +256,14 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
     started = time.perf_counter()
     base = gen_base_probs(cfg.sim, root.child(_RNG_BASE))
     reps = gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
-    jobs = [(j, rep, cfg) for j, rep in enumerate(reps)]
-    if use_parallel and len(jobs) > 1:
+    jobs = ((j, rep, cfg) for j, rep in enumerate(reps))  # drawn as they are used
+    if use_parallel and cfg.sim.replicates > 1:
         import concurrent.futures  # only --parallel pays for it (and for logging)
         from concurrent.futures.process import BrokenProcessPool
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(os.cpu_count() or 1, len(jobs))) as pool:
+                max_workers=min(os.cpu_count() or 1, cfg.sim.replicates)) as pool:
             try:
-                results = list(pool.map(_study_worker, jobs))
+                results = list(pool.map(_study_worker, jobs))  # submits all J at once
             except BrokenProcessPool:  # a worker killed, e.g. by the OOM killer
                 print("menkf: replicate-study: a worker process ended abruptly; "
                       "no study written", file=sys.stderr)
@@ -277,7 +278,7 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
         "config": to_dict(cfg),
         "aggregates": aggregates,
         "failures": failures,
-        "n_replicates": len(reps),
+        "n_replicates": cfg.sim.replicates,
     }
     write_json(out / "study.json", study)
     write_rows_csv(out / "study.csv", {
@@ -286,12 +287,12 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
                      "mean_arm_weight", "arm_f_weight", "n_test")})
     elapsed = time.perf_counter() - started
     if rows:
-        print(f"study over {len(reps)} replicates: "
+        print(f"study over {cfg.sim.replicates} replicates: "
               f"coverage {aggregates['coverage_pooled']:.4f} (pooled), "
               f"avg width {aggregates['width_mean']:.4f}, "
               f"arm f weight {aggregates['arm_f_weight_mean']:.4f}")
     else:
-        print(f"study over {len(reps)} replicates: no replicate succeeded")
+        print(f"study over {cfg.sim.replicates} replicates: no replicate succeeded")
     print(f"[menkf] replicate-study took {elapsed:.2f}s", file=sys.stderr)
     if failures:
         print(f"{len(failures)} replicate(s) failed: "
@@ -326,13 +327,9 @@ def _aggregate_study(rows: list[dict]) -> dict:
 
 # --------------------------------------------------------------- entrypoint
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        self.exit(1, f"menkf: {message}\n")
 
 
 def _build_parser() -> _Parser:
@@ -372,10 +369,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"menkf: {err}", file=sys.stderr)
-        return 1
-    except SystemExit as err:  # --help
+    except SystemExit as err:  # a usage error (1) or --help (0)
         return int(err.code or 0)
     try:
         if args.command == "config":

@@ -19,11 +19,12 @@ model's fitted outputs. Labels are thresholded perturbed probabilities
 and are carried along for realism; the trainer itself regresses logits.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, InvalidInputError
+from .exceptions import DimensionError, InvalidInputError, shown
 from .numerics import RngStream
 from .trainer import sigmoid
 
@@ -64,20 +65,20 @@ class SimConfig:
 
     def __post_init__(self):
         if self.m < 2:
-            raise InvalidInputError(f"m must be >= 2, got {self.m}")
+            raise InvalidInputError(f"m must be >= 2, got {shown(self.m)}")
         if self.replicates < 1:
-            raise InvalidInputError(f"replicates must be >= 1, got {self.replicates}")
+            raise InvalidInputError(f"replicates must be >= 1, got {shown(self.replicates)}")
         if self.perturb_sd < 0.0:
-            raise InvalidInputError(f"perturb_sd must be >= 0, got {self.perturb_sd}")
+            raise InvalidInputError(f"perturb_sd must be >= 0, got {shown(self.perturb_sd)}")
         if not 0.0 < self.threshold < 1.0:
-            raise InvalidInputError(f"threshold must lie in (0, 1), got {self.threshold}")
+            raise InvalidInputError(f"threshold must lie in (0, 1), got {shown(self.threshold)}")
         if self.p < 1 or self.q < 1:
             raise InvalidInputError("feature widths p and q must be >= 1")
         if self.scenario not in SCENARIOS:
             raise InvalidInputError(
-                f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+                f"scenario must be one of {SCENARIOS}, got {shown(self.scenario)}")
         if self.surrogate_sd < 0.0:
-            raise InvalidInputError(f"surrogate_sd must be >= 0, got {self.surrogate_sd}")
+            raise InvalidInputError(f"surrogate_sd must be >= 0, got {shown(self.surrogate_sd)}")
 
 
 @dataclass
@@ -145,11 +146,11 @@ def _stacked_logits(v_g: np.ndarray, true_logits: np.ndarray) -> np.ndarray:
 
 
 def gen_replicates(cfg: SimConfig, base: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   rng: RngStream) -> list[Replicate]:
-    """Draw the J replicate datasets around one base truth.
+                   rng: RngStream) -> Iterator[Replicate]:
+    """Yield the J replicate datasets around one base truth, one at a time.
 
-    Replicate j depends only on rng.child(j), so replicates can be
-    generated (or regenerated) independently and in any order.
+    Replicate j depends only on rng.child(j), so replicates can be drawn
+    (or redrawn) independently and in any order.
     """
     v_f, v_g, p_hat = base
     if v_f.shape != (cfg.m, cfg.p) or v_g.shape != (cfg.m, cfg.q):
@@ -162,7 +163,6 @@ def gen_replicates(cfg: SimConfig, base: tuple[np.ndarray, np.ndarray, np.ndarra
         base_targets = true_logits
         true_prob = p_hat
 
-    out = []
     for j in range(cfg.replicates):
         rep_rng = rng.child(j)
         eps = rep_rng.child(0).generator().normal(0.0, cfg.perturb_sd, size=cfg.m)
@@ -174,14 +174,13 @@ def gen_replicates(cfg: SimConfig, base: tuple[np.ndarray, np.ndarray, np.ndarra
             rep_v_f = _EMB_SD * mis_gen.standard_normal((cfg.m, cfg.p))
         else:
             rep_v_f = v_f.copy()
-        out.append(Replicate(
+        yield Replicate(
             v_f=rep_v_f,
             v_g=v_g.copy(),
             labels=labels,
             target_logits=base_targets + target_noise,
             true_prob=true_prob.copy(),
-        ))
-    return out
+        )
 
 
 def _take(rep: Replicate, idx: np.ndarray) -> Replicate:

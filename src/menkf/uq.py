@@ -62,32 +62,24 @@ def _block_intervals(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec
     return draws, point, lo, hi
 
 
-def _blocks(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
-            spec_g: ArmSpec):
-    """Yield (rows, draws, point, lo, hi) per block of at most _BLOCK_ROWS
-    input rows, rows being the block's slice of the inputs. The row counts
-    are checked first, so that a short last block cannot broadcast."""
-    for start in range(0, input_rows(v_f, v_g), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        yield rows, *_block_intervals(e, v_f[rows], v_g[rows], layout, spec_f, spec_g,
-                                      start)
-
-
 def interval_arrays(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
                     spec_g: ArmSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """95% intervals of every input row, as arrays.
 
     Returns (point, lo, hi): per row the member mean and the empirical
     2.5% and 97.5% quantiles of the member probabilities. The rows go
-    through in blocks of _BLOCK_ROWS, so memory beyond the outputs stays
-    bounded by N * _BLOCK_ROWS floats per array. Each value equals
-    np.mean and numerics.empirical_quantile of that row's draws bit for
-    bit: both reduce one contiguous row at a time, as the scalar rule does.
+    through in blocks of _BLOCK_ROWS, and each block's draws are freed
+    before the next block is computed, so memory beyond the outputs stays
+    bounded by N * _BLOCK_ROWS floats per array. Each value equals np.mean
+    and numerics.empirical_quantile of that row's draws bit for bit: both
+    reduce one contiguous row at a time, as the scalar rule does.
     """
-    n = input_rows(v_f, v_g)
+    n = input_rows(v_f, v_g)  # first, so that a short last block cannot broadcast
     point, lo, hi = np.empty(n), np.empty(n), np.empty(n)
-    for rows, _, *bounds in _blocks(e, v_f, v_g, layout, spec_f, spec_g):
-        point[rows], lo[rows], hi[rows] = bounds
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        point[rows], lo[rows], hi[rows] = _block_intervals(  # [1:] drops the draws
+            e, v_f[rows], v_g[rows], layout, spec_f, spec_g, start)[1:]
     return point, lo, hi
 
 
@@ -96,9 +88,13 @@ def predict(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
     """Per-row predictive summaries from the ensemble, one per input row;
     the point estimate is the member mean. Equal to interval_arrays bit
     for bit, and each summary keeps its row's draws."""
-    return [PredictionSummary(draws=draws[:, j].copy(), point=p, lo=l, hi=h)
-            for _, draws, point, lo, hi in _blocks(e, v_f, v_g, layout, spec_f, spec_g)
-            for j, (p, l, h) in enumerate(zip(point.tolist(), lo.tolist(), hi.tolist()))]
+    summaries = []
+    for start in range(0, input_rows(v_f, v_g), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        draws, *bounds = _block_intervals(e, v_f[rows], v_g[rows], layout, spec_f, spec_g, start)
+        summaries += [PredictionSummary(draws=draws[:, j].copy(), point=p, lo=l, hi=h)
+                      for j, (p, l, h) in enumerate(zip(*(b.tolist() for b in bounds)))]
+    return summaries
 
 
 def _bounds(summaries: list[PredictionSummary], *names: str) -> list[np.ndarray]:

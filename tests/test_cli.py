@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,9 @@ TINY = {
                 "activation": "identity", "batch_size": 12, "passes_over_data": 1},
     "split": {"train_n": 9, "test_n": 3},
 }
+
+
+HUGE = int("9" * 400)
 
 
 def write_config(tmp_path, doc=None, name="config.json"):
@@ -138,6 +142,32 @@ class TestRunConfigParsing:
 
     def test_seed_range_ends(self):
         assert from_dict(RunConfig, {"seed": 2**64 - 1}).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("doc, env, named", [
+        pytest.param({"sim": {"scenario": "x" * 5000}}, None, "sim: scenario", id="sim.scenario"),
+        pytest.param({"trainer": {"variance_init": "x" * 5000}}, None, "trainer: variance_init",
+                     id="trainer.variance_init"),
+        pytest.param({"trainer": {"activation": "x" * 5000}}, None, "trainer: unknown activation",
+                     id="trainer.activation"),
+        pytest.param({"sim": {"m": -HUGE}}, None, "sim: m ", id="sim.m"),
+        pytest.param({"trainer": {"ensemble_size": -HUGE}}, None, "trainer: ensemble_size",
+                     id="trainer.ensemble_size"),
+        pytest.param({"trainer": {"hidden_dims_f": [-HUGE]}}, None, "trainer: hidden sizes",
+                     id="trainer.hidden_dims_f"),
+        pytest.param({"split": {"train_n": -HUGE}}, None, "split: train_n", id="split.train_n"),
+        pytest.param({"seed": HUGE}, None, "config: seed", id="seed"),
+        pytest.param({}, "9" * 4000, "MENKF_SEED: seed", id="MENKF_SEED 4000 digits"),
+        pytest.param({}, "9" * 5000, "MENKF_SEED=", id="MENKF_SEED 5000 digits"),
+    ])
+    def test_long_value_is_cut(self, tmp_path, capsys, monkeypatch, doc, env, named):
+        # every echoed value is cut to 80 characters, so no input makes a long line
+        if env is not None:
+            monkeypatch.setenv("MENKF_SEED", env)
+        config = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"menkf: {named}") and "..." in line and len(line) <= 200
+        assert not (tmp_path / "out").exists()
         assert from_dict(RunConfig, {"seed": 0}).seed == 0
 
 
@@ -251,6 +281,14 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
         assert main(["train"]) == 1  # missing required arguments
+
+    @pytest.mark.parametrize("args, message", [
+        ([], "the following arguments are required: command"),
+        (["train", "--config"], "argument --config: expected one argument"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, args, message):
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"menkf: {message}\n")
 
     def test_bad_json_config(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -494,6 +532,13 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_oversize_split_message_is_cut(self, tmp_path, capsys):
+        doc = dict(TINY, split={"train_n": HUGE, "test_n": 8})
+        assert main(["replicate-study", "--config", write_config(tmp_path, doc),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("menkf: split.train_n + split.test_n = 999") and len(line) <= 200
+
     def test_oversize_split_leaves_simulate_alone(self, tmp_path):
         doc = dict(TINY, sim=dict(TINY["sim"], m=20), split={"train_n": 15, "test_n": 10})
         assert main(["simulate", "--config", write_config(tmp_path, doc),
@@ -603,6 +648,25 @@ class TestPipeline:
             assert pa.read_bytes() == pb.read_bytes()
         assert ((tmp_path / "one" / "manifest.json").read_bytes()
                 == (tmp_path / "two" / "manifest.json").read_bytes())
+
+    def test_simulate_memory_does_not_grow_with_replicates(self, tmp_path):
+        # each replicate is written as it is drawn; at m = 200 one replicate
+        # holds about 0.1 MiB, so holding all 24 would add over 2 MiB
+        def peak(replicates, name):
+            config = write_config(tmp_path, dict(TINY, sim={"m": 200, "replicates": replicates}))
+            tracemalloc.start()
+            try:
+                self.run(["simulate", "--config", config, "--output-dir", str(tmp_path / name)])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3, "warm")  # the first call in a process makes one-time allocations
+        assert peak(24, "many") - peak(3, "few") < 2**20
+        written = sorted(path.name for path in (tmp_path / "many" / "replicates").iterdir())
+        assert written == [f"rep_{j:03d}.csv" for j in range(24)]
+        assert len(read_json(tmp_path / "many" / "manifest.json")["files"]) == 24
+        assert verify_manifest(tmp_path / "many" / "manifest.json") == []
 
     def test_seed_env_changes_simulation(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)

@@ -85,7 +85,7 @@ class TestReplicates:
     def make(self, seed=0, **kw):
         cfg = SimConfig(m=74, replicates=8, **kw)
         base = gen_base_probs(cfg, RngStream(seed))
-        return cfg, base, gen_replicates(cfg, base, RngStream(seed).child(1))
+        return cfg, base, list(gen_replicates(cfg, base, RngStream(seed).child(1)))
 
     def test_count_and_shapes(self):
         cfg, _, reps = self.make()
@@ -145,14 +145,14 @@ class TestReplicates:
     def test_base_shape_mismatch(self):
         cfg, base, _ = self.make()
         with pytest.raises(DimensionError):
-            gen_replicates(SimConfig(m=74, p=16), base, RngStream(2))
+            list(gen_replicates(SimConfig(m=74, p=16), base, RngStream(2)))
 
 
 class TestMisspecified:
     def test_first_block_replaced_per_replicate(self):
         cfg = SimConfig(m=74, replicates=4, scenario="misspecified")
         base = gen_base_probs(cfg, RngStream(3))
-        reps = gen_replicates(cfg, base, RngStream(3).child(1))
+        reps = list(gen_replicates(cfg, base, RngStream(3).child(1)))
         for rep in reps:
             assert not np.array_equal(rep.v_f, base[0])
             np.testing.assert_array_equal(rep.v_g, base[1])

@@ -589,6 +589,21 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="body is"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("digits", [400, 4299])
+    def test_huge_member_count_is_a_short_message(self, tmp_path, digits):
+        # a consistent header whose count takes as many digits as JSON reads
+        # (4,300 at most); the body size it implies has more than str() shows
+        cfg = dataclasses.replace(sample_config(), ensemble_size=int("9" * digits))
+        header = {"config": to_dict(cfg), "config_sha256": storage._config_hash(to_dict(cfg)),
+                  "n_members": cfg.ensemble_size, "dim": cfg.layout().dim, "dtype": "<f8"}
+        text = json.dumps(header, sort_keys=True).encode()
+        path = tmp_path / "huge.menkf"
+        path.write_bytes(storage._PREFIX.pack(b"MENKFCKP", 1, len(text)) + text + bytes(64))
+        with pytest.raises(DataFormatError) as err:
+            load_checkpoint(path)
+        assert re.fullmatch(r".*: body is 64 bytes, expected "
+                            r"(\d{77}\.\.\.|a number too long to show)", str(err.value))
+
     def test_edited_header_is_rejected(self, tmp_path):
         # same-length edit to the embedded config: the hash no longer matches
         path, *_ = self.roundtrip(tmp_path)

@@ -197,6 +197,8 @@ class TestBlocks:
 
         peak(1024)  # the first call in a process makes one-time allocations
         assert peak(16384) - peak(4096) < 2**20
+        # one block's draws are freed before the next block's are drawn
+        assert peak(2048) - peak(1024) < 2**20
 
 
 def summary(lo, hi, point=None):
