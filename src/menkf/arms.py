@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, InvalidInputError, shown
+from .exceptions import DimensionError, InvalidInputError
 
 # Each activation writes over its argument, a layer's own fresh array.
 _ACTIVATIONS = {
@@ -48,13 +48,12 @@ class ArmSpec:
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if self.input_dim < 1:
-            raise InvalidInputError(f"input_dim must be >= 1, got {shown(self.input_dim)}")
+            raise InvalidInputError(f"input_dim must be >= 1, got {self.input_dim}")
         if any(h < 1 for h in self.hidden_dims):
-            raise InvalidInputError(f"hidden sizes must be >= 1, got {shown(self.hidden_dims)}")
+            raise InvalidInputError(f"hidden sizes must be >= 1, got {self.hidden_dims}")
         if self.activation not in _ACTIVATIONS:
             raise InvalidInputError(
-                f"unknown activation {shown(self.activation)}; "
-                f"choose from {sorted(_ACTIVATIONS)}")
+                f"unknown activation {self.activation!r}; choose from {sorted(_ACTIVATIONS)}")
 
     def layer_dims(self) -> list[tuple[int, int]]:
         widths = [self.input_dim, *self.hidden_dims, 1]

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .arms import ArmSpec
-from .exceptions import ConfigError, DataFormatError, InvalidInputError, MenkfError, shown
+from .exceptions import ConfigError, DataFormatError, InvalidInputError, MenkfError
 from .numerics import RngStream
 from .simgen import SCENARIOS, Replicate, SimConfig, gen_base_probs, gen_replicates, split
 from .storage import (_plain, from_dict, load_checkpoint, read_dataset_csv, read_json,
@@ -88,7 +88,7 @@ class SplitSettings:
     def __post_init__(self):
         for name in ("train_n", "test_n"):
             if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {shown(getattr(self, name))}")
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class RunConfig:
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:  # RngStream reads a seed modulo 2**64
-            raise InvalidInputError(f"seed must be in [0, 2**64 - 1], got {shown(self.seed)}")
+            raise InvalidInputError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
 
     @property
     def train_n(self) -> int:
@@ -124,7 +124,7 @@ def study_preset(scenario: str) -> RunConfig:
     """
     if scenario not in SCENARIOS:
         raise ConfigError(
-            f"unknown scenario {shown(scenario)}; expected one of {list(SCENARIOS)}")
+            f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
     trainer = TrainerSettings()
     if scenario == "stacked_average":
         trainer = dataclasses.replace(trainer, ensemble_size=433, init_var=2.0,
@@ -141,7 +141,7 @@ def load_run_config(path) -> RunConfig:
                 raise ValueError(env_seed)
             seed = int(env_seed)
         except ValueError:
-            raise ConfigError(f"MENKF_SEED={shown(env_seed)} is not an integer") from None
+            raise ConfigError(f"MENKF_SEED={env_seed!r} is not an integer") from None
         try:
             cfg = dataclasses.replace(cfg, seed=seed)
         except InvalidInputError as err:
@@ -206,7 +206,7 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, output_dir: str) -> in
                                ("emb_g_", data.v_g.shape[1], mcfg.arm_g)):
         if found != spec.input_dim:
             raise DataFormatError(f"{dataset_path}: {block}* block has {found} columns, "
-                                  f"the checkpoint expects {shown(spec.input_dim)}")
+                                  f"the checkpoint expects {spec.input_dim}")
     started = time.perf_counter()
     report, (point, lo, hi, truth) = _evaluate_ensemble(ensemble, mcfg, data)
     elapsed = time.perf_counter() - started
@@ -246,9 +246,8 @@ def _study_worker(args) -> tuple[int, dict | None, str | None]:
 def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
                         parallel: bool | None = None) -> int:
     if cfg.train_n + cfg.test_n > cfg.sim.m:
-        raise ConfigError(f"split.train_n + split.test_n = {shown(cfg.train_n)} + "
-                          f"{shown(cfg.test_n)} exceeds sim.m = {shown(cfg.sim.m)} "
-                          "rows per replicate")
+        raise ConfigError(f"split.train_n + split.test_n = {cfg.train_n} + {cfg.test_n} "
+                          f"exceeds sim.m = {cfg.sim.m} rows per replicate")
     out = Path(output_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     use_parallel = cfg.parallel if parallel is None else parallel
@@ -327,9 +326,19 @@ def _aggregate_study(rows: list[dict]) -> dict:
 
 # --------------------------------------------------------------- entrypoint
 
+_LINE_CHARS = 200  # a longer failure line is cut to this many characters, "..." last
+
+
+def _failure(message) -> str:
+    """The one line a failure prints to stderr, cut to _LINE_CHARS, so no
+    echoed value, path or argument makes it long."""
+    line = f"menkf: {message}"
+    return line if len(line) <= _LINE_CHARS else line[:_LINE_CHARS - 3] + "..."
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.exit(1, f"menkf: {message}\n")
+        self.exit(1, _failure(message) + "\n")
 
 
 def _build_parser() -> _Parser:
@@ -386,16 +395,16 @@ def main(argv=None) -> int:
         return cmd_replicate_study(load_run_config(args.config),
                                    args.output_dir, args.parallel)
     except (ConfigError, DataFormatError) as err:
-        print(f"menkf: {err}", file=sys.stderr)
+        print(_failure(err), file=sys.stderr)
         return 1
     except MenkfError as err:
-        print(f"menkf: {type(err).__name__}: {err}", file=sys.stderr)
+        print(_failure(f"{type(err).__name__}: {err}"), file=sys.stderr)
         return 2
     except OSError as err:
-        print(f"menkf: {err}", file=sys.stderr)
+        print(_failure(err), file=sys.stderr)
         return 2
     except MemoryError as err:
-        print(f"menkf: out of memory: {err}", file=sys.stderr)
+        print(_failure(f"out of memory: {err}"), file=sys.stderr)
         return 2
 
 

@@ -2,20 +2,8 @@
 
 Everything derives from MenkfError so callers can catch one base class.
 Shape problems and bad argument values additionally subclass ValueError,
-matching what plain numpy code would raise in the same spot. A message
-that echoes a value writes it through shown, so no input makes it long.
+matching what plain numpy code would raise in the same spot.
 """
-
-_SHOWN_CHARS = 80  # a longer echoed value is cut to this many characters, "..." last
-
-
-def shown(value, form=repr) -> str:
-    """form(value) for a message, cut to _SHOWN_CHARS characters ("..." last)."""
-    try:
-        text = form(value)
-    except ValueError:  # an int past the interpreter's limit on decimal digits
-        return "a number too long to show"
-    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 3] + "..."
 
 
 class MenkfError(Exception):

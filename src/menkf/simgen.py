@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, InvalidInputError, shown
+from .exceptions import DimensionError, InvalidInputError
 from .numerics import RngStream
 from .trainer import sigmoid
 
@@ -42,6 +42,7 @@ _LOGIT_SCALE = 3.0
 _MIX_RANK = 8
 _MIX_SIGNAL_SHARE = 0.4
 _LOGIT_EPS = 1e-12
+MAX_REPLICATES = 1000  # simulate names them rep_000 ... rep_999
 
 
 def logit(p):
@@ -65,20 +66,21 @@ class SimConfig:
 
     def __post_init__(self):
         if self.m < 2:
-            raise InvalidInputError(f"m must be >= 2, got {shown(self.m)}")
-        if self.replicates < 1:
-            raise InvalidInputError(f"replicates must be >= 1, got {shown(self.replicates)}")
+            raise InvalidInputError(f"m must be >= 2, got {self.m}")
+        if not 1 <= self.replicates <= MAX_REPLICATES:
+            raise InvalidInputError(
+                f"replicates must be in [1, {MAX_REPLICATES}], got {self.replicates}")
         if self.perturb_sd < 0.0:
-            raise InvalidInputError(f"perturb_sd must be >= 0, got {shown(self.perturb_sd)}")
+            raise InvalidInputError(f"perturb_sd must be >= 0, got {self.perturb_sd}")
         if not 0.0 < self.threshold < 1.0:
-            raise InvalidInputError(f"threshold must lie in (0, 1), got {shown(self.threshold)}")
+            raise InvalidInputError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.p < 1 or self.q < 1:
             raise InvalidInputError("feature widths p and q must be >= 1")
         if self.scenario not in SCENARIOS:
             raise InvalidInputError(
-                f"scenario must be one of {SCENARIOS}, got {shown(self.scenario)}")
+                f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.surrogate_sd < 0.0:
-            raise InvalidInputError(f"surrogate_sd must be >= 0, got {shown(self.surrogate_sd)}")
+            raise InvalidInputError(f"surrogate_sd must be >= 0, got {self.surrogate_sd}")
 
 
 @dataclass

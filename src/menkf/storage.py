@@ -39,8 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .enkf import Ensemble
-from .exceptions import _SHOWN_CHARS  # noqa: F401 (the length _shown cuts to, for tests)
-from .exceptions import ConfigError, DataFormatError, InvalidInputError, shown
+from .exceptions import ConfigError, DataFormatError, InvalidInputError
 from .simgen import Replicate
 from .trainer import MenkfConfig
 
@@ -60,7 +59,7 @@ def _unique_keys(pairs: list) -> dict:
     doc = dict(pairs)
     if len(doc) < len(pairs):
         keys = [key for key, _ in pairs]
-        raise ValueError(f"key {shown(next(k for k in keys if keys.count(k) > 1))} is repeated")
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is repeated")
     return doc
 
 
@@ -125,7 +124,7 @@ def _read_rows(path, header: list[str], fh) -> Replicate:
     expected = dataset_header(max(p, 1), max(q, 1), has_prob, has_label)
     if header != expected:
         col = next(i for i in range(len(header) + 1) if header[i:i + 1] != expected[i:i + 1])
-        got = shown(header[col]) if col < len(header) else "missing"
+        got = repr(header[col]) if col < len(header) else "missing"
         want = repr(expected[col]) if col < len(expected) else "no further column"
         raise DataFormatError(f"{path}: header column {col + 1} is {got}, expected {want}")
     n_float = p + q + 1 + has_prob  # the leading cells; label, if any, is the last
@@ -205,6 +204,7 @@ def _each_row(path, header: list[str], n_float: int, has_label: bool, lines: lis
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a finite number",
              str: "a string"}
 _SHOWN_DEPTH = 32  # a value inside more lists and objects is named, not quoted
+_SHOWN_CHARS = 80  # a longer quote is cut to this many characters, "..." last
 
 
 def to_dict(cfg) -> dict:
@@ -231,7 +231,7 @@ def from_dict(cls, doc, where: str = ""):
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(doc) - set(fields))
     if unknown:
-        raise ConfigError(f"{section}: unknown keys {shown(unknown)}")
+        raise ConfigError(f"{section}: unknown keys {unknown}")
     missing = [name for name, f in fields.items() if name not in doc
                and f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING]
@@ -247,14 +247,15 @@ def from_dict(cls, doc, where: str = ""):
 
 
 def _shown(value) -> str:
-    """value's JSON text for a message, cut by shown; its depth is walked
-    level by level, so the text does not depend on the caller's stack."""
+    """value's JSON text for a message, cut to _SHOWN_CHARS; its depth is
+    walked level by level, so the text does not depend on the caller's stack."""
     level = [value]
     for _ in range(_SHOWN_DEPTH + 1):
         level = [child for item in level if isinstance(item, (list, dict))
                  for child in (item.values() if isinstance(item, dict) else item)]
         if not level:
-            return shown(value, json.dumps)
+            text = json.dumps(value)
+            return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 3] + "..."
     return f"a {type(value).__name__} nested too deeply to show"
 
 
@@ -300,16 +301,15 @@ class _Header:
     def __post_init__(self):
         for name in ("n_members", "dim"):
             if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {shown(getattr(self, name))}")
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dtype != "<f8":
-            raise InvalidInputError(f"unsupported dtype {shown(self.dtype)}")
+            raise InvalidInputError(f"unsupported dtype {self.dtype!r}")
         if self.n_members != self.config.ensemble_size:
-            raise InvalidInputError(f"n_members {shown(self.n_members)} != config "
-                                    f"ensemble_size {shown(self.config.ensemble_size)}")
+            raise InvalidInputError(f"n_members {self.n_members} != config ensemble_size "
+                                    f"{self.config.ensemble_size}")
         layout_dim = self.config.layout().dim
         if self.dim != layout_dim:
-            raise InvalidInputError(f"dim {shown(self.dim)} != config layout dim "
-                                    f"{shown(layout_dim)}")
+            raise InvalidInputError(f"dim {self.dim} != config layout dim {layout_dim}")
 
 
 def save_checkpoint(path, ensemble: Ensemble, cfg: MenkfConfig) -> None:
@@ -347,8 +347,9 @@ def load_checkpoint(path) -> tuple[Ensemble, MenkfConfig]:
         raise DataFormatError(f"{path}: config hash mismatch")
     n, d = header.n_members, header.dim
     body = raw[header_end:]
-    if len(body) != n * d * 8:
-        raise DataFormatError(f"{path}: body is {len(body)} bytes, expected {shown(n * d * 8)}")
+    if len(body) != n * d * 8:  # the product can have more digits than str() writes
+        raise DataFormatError(f"{path}: body is {len(body)} bytes, "
+                              f"expected n_members x dim x 8 = {n} x {d} x 8")
     try:
         ensemble = Ensemble(np.frombuffer(body, dtype="<f8").reshape(n, d).copy())
     except InvalidInputError as err:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .arms import ArmSpec, StateLayout, forward_batch, param_count
 from .enkf import Ensemble, analysis
-from .exceptions import DimensionError, InvalidInputError, NumericError, shown
+from .exceptions import DimensionError, InvalidInputError, NumericError
 from .numerics import RngStream
 
 _VARIANCE_INITS = ("gaussian", "gamma_shape_scale")
@@ -85,21 +85,18 @@ class MenkfConfig:
 
     def __post_init__(self):
         if self.ensemble_size < 2:
-            raise InvalidInputError(
-                f"ensemble_size must be >= 2, got {shown(self.ensemble_size)}")
+            raise InvalidInputError(f"ensemble_size must be >= 2, got {self.ensemble_size}")
         if self.init_var <= 0.0:
-            raise InvalidInputError(f"init_var must be > 0, got {shown(self.init_var)}")
+            raise InvalidInputError(f"init_var must be > 0, got {self.init_var}")
         if self.batch_size < 1:
-            raise InvalidInputError(f"batch_size must be >= 1, got {shown(self.batch_size)}")
+            raise InvalidInputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.passes_over_data < 1:
-            raise InvalidInputError(
-                f"passes_over_data must be >= 1, got {shown(self.passes_over_data)}")
+            raise InvalidInputError(f"passes_over_data must be >= 1, got {self.passes_over_data}")
         if self.jitter_var < 0.0:
-            raise InvalidInputError(f"jitter_var must be >= 0, got {shown(self.jitter_var)}")
+            raise InvalidInputError(f"jitter_var must be >= 0, got {self.jitter_var}")
         if self.variance_init not in _VARIANCE_INITS:
             raise InvalidInputError(
-                f"variance_init must be one of {_VARIANCE_INITS}, "
-                f"got {shown(self.variance_init)}")
+                f"variance_init must be one of {_VARIANCE_INITS}, got {self.variance_init!r}")
         if self.fixed_noise_var is not None and self.fixed_noise_var <= 0.0:
             raise InvalidInputError("fixed_noise_var must be > 0 when set")
 
@@ -139,7 +136,7 @@ class Batch:
 def make_batches(v_f, v_g, y, batch_size: int) -> list[Batch]:
     """Chunk a dataset into contiguous batches; the last one may be short."""
     if batch_size < 1:
-        raise InvalidInputError(f"batch_size must be >= 1, got {shown(batch_size)}")
+        raise InvalidInputError(f"batch_size must be >= 1, got {batch_size}")
     return [Batch(v_f[i:i + batch_size], v_g[i:i + batch_size], y[i:i + batch_size])
             for i in range(0, len(y), batch_size)]
 

@@ -142,6 +142,7 @@ class TestRunConfigParsing:
 
     def test_seed_range_ends(self):
         assert from_dict(RunConfig, {"seed": 2**64 - 1}).seed == 2**64 - 1
+        assert from_dict(RunConfig, {"seed": 0}).seed == 0
 
     @pytest.mark.parametrize("doc, env, named", [
         pytest.param({"sim": {"scenario": "x" * 5000}}, None, "sim: scenario", id="sim.scenario"),
@@ -160,15 +161,25 @@ class TestRunConfigParsing:
         pytest.param({}, "9" * 5000, "MENKF_SEED=", id="MENKF_SEED 5000 digits"),
     ])
     def test_long_value_is_cut(self, tmp_path, capsys, monkeypatch, doc, env, named):
-        # every echoed value is cut to 80 characters, so no input makes a long line
+        # a failure line is cut to 200 characters, so no input makes a long line
         if env is not None:
             monkeypatch.setenv("MENKF_SEED", env)
         config = write_config(tmp_path, doc)
         assert main(["simulate", "--config", config, "--output-dir", str(tmp_path / "out")]) == 1
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"menkf: {named}") and "..." in line and len(line) <= 200
+        assert line.startswith(f"menkf: {named}") and line.endswith("...") and len(line) == 200
         assert not (tmp_path / "out").exists()
-        assert from_dict(RunConfig, {"seed": 0}).seed == 0
+
+    @pytest.mark.parametrize("replicates", [0, 1001])
+    def test_replicate_count_is_bounded(self, tmp_path, capsys, replicates):
+        # simulate names its files rep_000 ... rep_999; a count past that is
+        # refused before anything is drawn or written
+        config = write_config(tmp_path, dict(TINY, sim=dict(TINY["sim"], replicates=replicates)))
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("menkf: sim: replicates must be in [1, 1000], got ")
+        assert len(line) <= 200
+        assert not (tmp_path / "out").exists()
 
 
 class TestStudyPreset:
@@ -289,6 +300,12 @@ class TestExitCodes:
     def test_usage_error_is_one_line(self, capsys, args, message):
         assert main(args) == 1
         assert capsys.readouterr() == ("", f"menkf: {message}\n")
+
+    def test_long_usage_error_is_cut(self, capsys):
+        assert main(["x" * 5000]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("menkf: argument command: invalid choice: 'xxx")
+        assert err.endswith("...\n") and len(err) == 201
 
     def test_bad_json_config(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -420,6 +437,17 @@ class TestExitCodes:
         lines[1 + row] = ",".join(fields)
         out.write_text("\n".join(lines) + "\n")
         return str(out)
+
+    def test_long_dataset_cell_is_cut(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
+        data = self.replaced_cells(tmp_path / "replicates" / "rep_000.csv",
+                                   tmp_path / "long.csv", 0, {"emb_g_0": "x" * 3000})
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--dataset", data,
+                     "--output-dir", str(tmp_path / "fit")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"menkf: {data}") and "emb_g_0" in line and len(line) == 200
 
     def test_overflowing_target_names_its_batch(self, tmp_path, capsys):
         config = write_config(tmp_path)  # one batch of 12 rows
