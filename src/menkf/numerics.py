@@ -40,7 +40,7 @@ class RngStream:
     master_seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> "np.random.Generator":  # quoted: numpy.random loads at the first draw
         """Fresh numpy Generator at the start of this stream's sequence."""
         seq = np.random.SeedSequence(
             entropy=self.master_seed & _MASK64,

@@ -65,7 +65,7 @@ def _unique_keys(pairs: list) -> dict:
 
 def read_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or nested too deep
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
 
@@ -104,7 +104,7 @@ def read_dataset_csv(path) -> Replicate:
     which names the cell at fault.
     """
     try:
-        with open(path, newline="\n") as fh:
+        with open(path, newline="\n", encoding="utf-8") as fh:
             header = fh.readline()
             if not header:
                 raise DataFormatError(f"{path}: empty file")
@@ -316,11 +316,11 @@ def save_checkpoint(path, ensemble: Ensemble, cfg: MenkfConfig) -> None:
     header = _Header(config=cfg, config_sha256=_config_hash(to_dict(cfg)),
                      n_members=ensemble.size, dim=ensemble.dim, dtype="<f8")
     header_bytes = json.dumps(to_dict(header), sort_keys=True).encode()
-    body = np.ascontiguousarray(ensemble.members, dtype="<f8").tobytes()
+    body = np.ascontiguousarray(ensemble.members, dtype="<f8")
     with open(path, "wb") as fh:  # three writes: concatenating would copy the body
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(body)
+        fh.write(memoryview(body).cast("B"))  # the members' own bytes, not a copy
 
 
 def load_checkpoint(path) -> tuple[Ensemble, MenkfConfig]:
@@ -346,7 +346,7 @@ def load_checkpoint(path) -> tuple[Ensemble, MenkfConfig]:
     if header.config_sha256 != _config_hash(config):
         raise DataFormatError(f"{path}: config hash mismatch")
     n, d = header.n_members, header.dim
-    body = raw[header_end:]
+    body = memoryview(raw)[header_end:]  # a view: slicing bytes would copy the body
     if len(body) != n * d * 8:  # the product can have more digits than str() writes
         raise DataFormatError(f"{path}: body is {len(body)} bytes, "
                               f"expected n_members x dim x 8 = {n} x {d} x 8")

@@ -1,9 +1,12 @@
 """Gradient-free trainer for a two-arm surrogate.
 
 The model averages two feedforward arms with one convex weight and
-learns everything — both arms' weights, the averaging logit a, and an
-observation-noise parameter b — with a stochastic ensemble Kalman
-filter over the flat augmented state [w_f | w_g | a | b]:
+updates both arms' weights, the averaging logit a and an
+observation-noise parameter b with a stochastic ensemble Kalman filter
+over the flat augmented state [w_f | w_g | a | b]. b enters only the
+perturbation scale, so under the defaults softplus(b) stays near its
+prior mean of 1 (0.90–1.06 on well_specified at seed 0; the residual
+variance is 0.057–0.091):
 
     prediction  = (1 - sigmoid(a)) * f(V_f, w_f) + sigmoid(a) * g(V_g, w_g)
     noise var   = softplus(b)

@@ -40,6 +40,19 @@ class PredictionSummary:
         return self.hi - self.lo
 
 
+def _sorted_quantile(by_row: np.ndarray, q: float) -> np.ndarray:
+    """Per-row q-quantile of rows sorted ascending, by np.quantile's
+    linear rule bit for bit: h = (N - 1) q, interpolated between the
+    floor(h) and the next order statistic, from the upper one when the
+    fraction is at least 0.5."""
+    n = by_row.shape[1]
+    h = (n - 1) * q
+    i = int(h)  # floor(h), as h >= 0
+    gamma = h - i
+    a, b = by_row[:, i], by_row[:, min(i + 1, n - 1)]
+    return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+
+
 def _block_intervals(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
                      spec_g: ArmSpec, start: int):
     """(draws, point, lo, hi) of one block of rows: the (N, rows) member
@@ -55,11 +68,10 @@ def _block_intervals(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec
     draws = sigmoid(draws)  # the logits are freed here
     by_row = draws.T.copy()  # a C-ordered copy, which is sorted in place below
     point = by_row.mean(axis=1)  # in member order, before the sort
-    # the quantiles depend only on each row's order statistics; sorting the
-    # contiguous rows once is cheaper than partitioning along a strided axis
+    # the quantiles depend only on each row's order statistics; once the
+    # contiguous rows are sorted, each bound reads two of their columns
     by_row.sort(axis=1)
-    lo, hi = np.quantile(by_row, [0.025, 0.975], axis=1, overwrite_input=True)
-    return draws, point, lo, hi
+    return draws, point, _sorted_quantile(by_row, 0.025), _sorted_quantile(by_row, 0.975)
 
 
 def interval_arrays(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
@@ -71,8 +83,9 @@ def interval_arrays(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
     through in blocks of _BLOCK_ROWS, and each block's draws are freed
     before the next block is computed, so memory beyond the outputs stays
     bounded by N * _BLOCK_ROWS floats per array. Each value equals np.mean
-    and numerics.empirical_quantile of that row's draws bit for bit: both
-    reduce one contiguous row at a time, as the scalar rule does.
+    and numerics.empirical_quantile of that row's draws bit for bit: the
+    mean reduces one contiguous row at a time, as the scalar rule does,
+    and the bounds apply np.quantile's linear rule to the sorted row.
     """
     n = input_rows(v_f, v_g)  # first, so that a short last block cannot broadcast
     point, lo, hi = np.empty(n), np.empty(n), np.empty(n)

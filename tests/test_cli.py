@@ -249,6 +249,22 @@ def run_python(code, **env_vars):
     return proc.stdout.strip()
 
 
+# on numpy 1.x, import numpy itself loads numpy.random and numpy.ma
+NUMPY_2 = pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                             reason="numpy 1.x loads numpy.random and numpy.ma on import")
+
+
+def loaded_after(args, *modules):
+    """Code that runs main(args) and prints, on its last line, the exit
+    code and which of modules (numpy.random and numpy.ma by default) it
+    loaded."""
+    modules = set(modules or ("numpy.random", "numpy.ma"))
+    return ("import sys\n"
+            "from menkf.cli import main\n"
+            f"status = main({args!r})\n"
+            f"print(status, sorted({modules!r} & set(sys.modules)))")
+
+
 class TestImports:
     def test_cli_imports_numpy_only(self):
         # importing the CLI loads modules of no installed distribution but
@@ -268,6 +284,24 @@ class TestImports:
                 "import menkf\n"
                 "print(sorted(m for m in sys.modules if m.startswith('menkf.')))")
         assert run_python(code) == "[]"
+
+    @NUMPY_2
+    def test_evaluate_loads_neither_random_nor_masked_arrays(self, tmp_path):
+        # evaluate draws nothing, and its interval bounds come from sorted rows
+        config = write_config(tmp_path)
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path / "sim")]) == 0
+        data = str(tmp_path / "sim" / "replicates" / "rep_000.csv")
+        assert main(["train", "--config", config, "--dataset", data,
+                     "--output-dir", str(tmp_path / "fit")]) == 0
+        args = ["evaluate", "--checkpoint", str(tmp_path / "fit" / "checkpoint.menkf"),
+                "--dataset", data, "--output-dir", str(tmp_path / "ev")]
+        assert run_python(loaded_after(args)).splitlines()[-1] == "0 []"
+
+    @NUMPY_2
+    def test_replicate_study_loads_no_masked_arrays(self, tmp_path):
+        args = ["replicate-study", "--config", write_config(tmp_path),
+                "--output-dir", str(tmp_path / "study")]
+        assert run_python(loaded_after(args, "numpy.ma")).splitlines()[-1] == "0 []"
 
     def test_process_pool_is_imported_only_for_parallel_studies(self):
         # concurrent.futures pulls in logging; only --parallel needs either
@@ -382,6 +416,32 @@ class TestExitCodes:
         assert main(["train", "--config", config, "--dataset", str(data),
                      "--output-dir", str(tmp_path / "out")]) == 1
         assert "header column 2 is 'emb_f_0', expected 'emb_f_1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["config", "dataset"])
+    def test_inputs_are_utf8_in_any_locale(self, tmp_path, source):
+        # under the C locale open() would decode with ASCII; the message must
+        # name the field or cell, as it does under a UTF-8 locale
+        config = tmp_path / "config.json"
+        doc = dict(TINY, sim=dict(TINY["sim"], scenario="caf\u00e9"))
+        config.write_text(json.dumps(doc if source == "config" else TINY, ensure_ascii=False),
+                          encoding="utf-8")
+        command = ["simulate", "--config", str(config)]
+        if source == "dataset":
+            assert main(command + ["--output-dir", str(tmp_path / "sim")]) == 0
+            header, row, *rest = (tmp_path / "sim" / "replicates" / "rep_000.csv").read_text(
+                encoding="utf-8").splitlines()
+            cells = row.split(",")
+            cells[header.split(",").index("target_logit")] = "\u00e9"
+            data = tmp_path / "accented.csv"
+            data.write_text("\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8")
+            command = ["train", "--config", str(config), "--dataset", str(data)]
+        proc = python(["-m", "menkf.cli", *command, "--output-dir", str(tmp_path / "out")],
+                      LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        assert proc.returncode == 1 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("menkf: sim: scenario must be one of" if source == "config"
+                               else f"menkf: {data}: row 2, column 'target_logit': ")
+        assert "codec" not in line
 
     def test_dataset_width_does_not_fit_checkpoint(self, tmp_path, capsys):
         config = write_config(tmp_path)  # p = q = 2

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import struct
+import tracemalloc
 import typing
 from unittest import mock
 
@@ -565,6 +566,25 @@ class TestCheckpoint:
         path_b = tmp_path / "again.menkf"
         save_checkpoint(path_b, Ensemble(members), cfg)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_body_is_not_copied(self, tmp_path):
+        # save writes the members' own bytes; load holds the file's bytes and
+        # the members, with no sliced copy of the body between them
+        spec = ArmSpec(32, (16,), "tanh")
+        cfg = sample_config(arm_f=spec, arm_g=spec, ensemble_size=216)
+        members = np.random.default_rng(1).standard_normal((216, cfg.layout().dim))
+        ensemble, path = Ensemble(members), tmp_path / "model.menkf"
+
+        def peak(call, *args):
+            tracemalloc.start()
+            try:
+                call(*args)
+                return tracemalloc.get_traced_memory()[1] / members.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert peak(save_checkpoint, path, ensemble, cfg) < 0.1
+        assert peak(load_checkpoint, path) < 2.5
 
     def test_wrong_magic(self, tmp_path):
         path, *_ = self.roundtrip(tmp_path)

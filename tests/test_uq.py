@@ -127,6 +127,26 @@ class TestIntervalArrays:
             assert lo[j] == empirical_quantile(col.copy(), 0.025)
             assert hi[j] == empirical_quantile(col.copy(), 0.975)
 
+    @pytest.mark.parametrize("n", [216, 433])  # the presets' ensemble sizes
+    def test_preset_sizes_equal_per_row_rule_bitwise(self, n):
+        # rows with k members at each of -800 and +800, so that 0.0 and 1.0 ties
+        # sit at and around the order statistics each bound reads; saturated
+        # rows; and enough random rows that the two forms of the interpolation
+        # round apart on some of them
+        gen = np.random.default_rng(n)
+        ties = [np.where(np.arange(n) < k, -800.0, np.where(np.arange(n) >= n - k, 800.0, 0.3))
+                for k in range(3, 14)]
+        logits = np.column_stack([*ties, 3.0 * gen.standard_normal((n, 400)),
+                                  gen.choice([-800.0, 800.0], size=(n, 4)),
+                                  gen.choice([-800.0, 800.0, 0.0], size=(n, 4)),
+                                  np.full(n, -800.0), np.full(n, 800.0)])
+        logits = gen.permuted(logits, axis=0)  # ties in no particular member order
+        _, lo, hi = interval_arrays(*logit_table_ensemble(logits))
+        draws = sigmoid(logits)
+        for j in range(logits.shape[1]):
+            assert lo[j] == empirical_quantile(draws[:, j].copy(), 0.025)
+            assert hi[j] == empirical_quantile(draws[:, j].copy(), 0.975)
+
     def test_predict_wraps_the_arrays(self):
         logits = np.random.default_rng(4).standard_normal((216, 5))
         args = logit_table_ensemble(logits)
