@@ -168,11 +168,11 @@ def cmd_simulate(cfg: RunConfig, output_dir: str | None = None) -> int:
 
 
 def cmd_train(cfg: RunConfig, dataset_path: str, output_dir: str | None = None) -> int:
-    out = Path(output_dir or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data = read_dataset_csv(dataset_path)
     mcfg = cfg.trainer.make_config(data.v_f.shape[1], data.v_g.shape[1])
     batches = make_batches(data.v_f, data.v_g, data.target_logits, mcfg.batch_size)
+    out = Path(output_dir or cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # only once the inputs are read and checked
     started = time.perf_counter()
     ensemble, trace = fit(batches, mcfg, RngStream(cfg.seed).child(_RNG_TRAIN))
     elapsed = time.perf_counter() - started
@@ -198,8 +198,6 @@ def _evaluate_ensemble(ensemble, mcfg: MenkfConfig, data) -> tuple[dict, tuple]:
 
 
 def cmd_evaluate(checkpoint_path: str, dataset_path: str, output_dir: str) -> int:
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ensemble, mcfg = load_checkpoint(checkpoint_path)
     data = read_dataset_csv(dataset_path)
     for block, found, spec in (("emb_f_", data.v_f.shape[1], mcfg.arm_f),
@@ -207,6 +205,8 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, output_dir: str) -> in
         if found != spec.input_dim:
             raise DataFormatError(f"{dataset_path}: {block}* block has {found} columns, "
                                   f"the checkpoint expects {spec.input_dim}")
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # only once the inputs are read and checked
     started = time.perf_counter()
     report, (point, lo, hi, truth) = _evaluate_ensemble(ensemble, mcfg, data)
     elapsed = time.perf_counter() - started

@@ -16,7 +16,7 @@ members are one (N, m) block from a single stream per step.
 
 analysis() is the one kernel: it takes the members and their predicted
 observations, so the trainer's nonlinear measurement and enkf_update's
-linear operator H both go through it.
+linear operator H both go through it; it shifts the members in place.
 """
 
 from dataclasses import dataclass
@@ -81,9 +81,9 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     obs_var : per-member observation noise variance, length N, all > 0.
     rng : stream used for the perturbed observations (one block per call).
 
-    Returns the shifted (N, d) members; an all-+0.0 column stays +0.0, as
-    its row of L is exactly 0. Raises numpy.linalg.LinAlgError if M is
-    not finite or its eigendecomposition fails.
+    Shifts members in place and returns it; an all-+0.0 column stays +0.0,
+    as its row of L is exactly 0. Raises numpy.linalg.LinAlgError, members
+    unchanged, if M is not finite or its eigendecomposition fails.
     """
     n, m = predicted.shape
     y = np.asarray(y, dtype=float)
@@ -114,19 +114,19 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     lam, basis = eigvals[keep], eigvecs[:, keep]
     coeffs = (residual @ basis) / (lam + obs_var[:, None])
     # (d, k) @ (k, N) sums each entry in one order at any BLAS thread count,
-    # where (N, k) @ (k, d) did not; order="C" keeps each member's row
-    # contiguous, as arms.forward_batch takes it
+    # where (N, k) @ (k, d) did not; the add keeps members' own C order,
+    # in which arms.forward_batch takes each member's row
     shift = (cross @ basis) @ coeffs.T
-    del cross  # one (d, m) array fewer beside the three (N, d) ones of the sum
-    return np.add(members, shift.T, order="C")
+    del cross  # one (d, m) array fewer beside the two (N, d) ones of the sum
+    return np.add(members, shift.T, out=members)
 
 
 def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream) -> Ensemble:
     """analysis() of an ensemble under a linear observation operator H, (m, d).
 
-    Returns a new ensemble; raises as analysis() does.
+    Returns a new ensemble and leaves e as it was; raises as analysis() does.
     """
     h = np.asarray(obs_matrix, dtype=float)
     if h.ndim != 2 or h.shape[1] != e.dim:
         raise DimensionError(f"obs_matrix shape {h.shape} does not match state dim {e.dim}")
-    return Ensemble(analysis(e.members, e.members @ h.T, y, obs_var, rng))
+    return Ensemble(analysis(e.members.copy(), e.members @ h.T, y, obs_var, rng))

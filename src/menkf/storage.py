@@ -28,6 +28,7 @@ from_dict rejects unknown keys and checks every value strictly.
 import array
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import struct
@@ -324,34 +325,40 @@ def save_checkpoint(path, ensemble: Ensemble, cfg: MenkfConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[Ensemble, MenkfConfig]:
-    raw = Path(path).read_bytes()
-    if len(raw) < _PREFIX.size or not raw.startswith(_MAGIC):
-        raise DataFormatError(f"{path}: not a checkpoint file")
-    _, version, header_len = _PREFIX.unpack_from(raw)
-    if version != _VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    header_end = _PREFIX.size + header_len
-    if header_end > len(raw):
-        raise DataFormatError(f"{path}: truncated header")
+    with open(path, "rb") as file:
+        fh = file if file.seekable() else io.BytesIO(file.read())  # a pipe is read whole
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        prefix = fh.read(_PREFIX.size)
+        if len(prefix) < _PREFIX.size or not prefix.startswith(_MAGIC):
+            raise DataFormatError(f"{path}: not a checkpoint file")
+        _, version, header_len = _PREFIX.unpack(prefix)
+        if version != _VERSION:
+            raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
+        if _PREFIX.size + header_len > size:
+            raise DataFormatError(f"{path}: truncated header")
+        try:
+            doc = json.loads(fh.read(header_len).decode(), object_pairs_hook=_unique_keys)
+            config = doc.get("config") if isinstance(doc, dict) else None
+            if isinstance(config, dict):  # hashed as written; an older header's seed is dropped
+                doc["config"] = {key: value for key, value in config.items() if key != "seed"}
+            header = from_dict(_Header, doc, "header")
+        except ConfigError as err:
+            raise DataFormatError(f"{path}: {err}") from err
+        except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or nested too deep
+            raise DataFormatError(f"{path}: corrupt header ({err})") from err
+        if header.config_sha256 != _config_hash(config):
+            raise DataFormatError(f"{path}: config hash mismatch")
+        n, d = header.n_members, header.dim
+        body_len = size - fh.tell()
+        if body_len == n * d * 8:  # then read straight into the members, not copied
+            members = np.empty((n, d), dtype="<f8")
+            body_len = fh.readinto(memoryview(members).cast("B"))  # short if it shrank
+        if body_len != n * d * 8:  # the product can have more digits than str() writes
+            raise DataFormatError(f"{path}: body is {body_len} bytes, "
+                                  f"expected n_members x dim x 8 = {n} x {d} x 8")
     try:
-        doc = json.loads(raw[_PREFIX.size:header_end].decode(), object_pairs_hook=_unique_keys)
-        config = doc.get("config") if isinstance(doc, dict) else None
-        if isinstance(config, dict):  # hashed as written; an older header's seed is dropped
-            doc["config"] = {key: value for key, value in config.items() if key != "seed"}
-        header = from_dict(_Header, doc, "header")
-    except ConfigError as err:
-        raise DataFormatError(f"{path}: {err}") from err
-    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or nested too deep
-        raise DataFormatError(f"{path}: corrupt header ({err})") from err
-    if header.config_sha256 != _config_hash(config):
-        raise DataFormatError(f"{path}: config hash mismatch")
-    n, d = header.n_members, header.dim
-    body = memoryview(raw)[header_end:]  # a view: slicing bytes would copy the body
-    if len(body) != n * d * 8:  # the product can have more digits than str() writes
-        raise DataFormatError(f"{path}: body is {len(body)} bytes, "
-                              f"expected n_members x dim x 8 = {n} x {d} x 8")
-    try:
-        ensemble = Ensemble(np.frombuffer(body, dtype="<f8").reshape(n, d).copy())
+        ensemble = Ensemble(members)
     except InvalidInputError as err:
         raise DataFormatError(f"{path}: {err}") from err
     return ensemble, header.config

@@ -210,14 +210,7 @@ def measure(e: Ensemble, batch: Batch, layout: StateLayout,
 
 def _forecast(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout,
               rng: RngStream) -> np.ndarray:
-    """The forecast members: jittered from rng and with a and b pinned.
-
-    A copy is made only when jitter or pinning changes the members;
-    otherwise members itself is returned, and must not be written.
-    """
-    if cfg.jitter_var == 0.0 and cfg.fixed_arm_logit is None and cfg.fixed_noise_var is None:
-        return members
-    members = members.copy()
+    """Jitters members from rng and pins a and b, in place; returns members."""
     if cfg.jitter_var > 0.0:
         active = layout.active_indices()
         gen = rng.generator()
@@ -229,8 +222,8 @@ def _forecast(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout,
 
 def _step(members: np.ndarray, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
           rng: RngStream, batch_index: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """train_step on the bare (N, d) members, also returning the forecast
-    members' (N, m) predicted logits that the analysis used."""
+    """train_step on the bare (N, d) members, updated in place; also returns
+    the forecast members' (N, m) predicted logits that the analysis used."""
     members = _forecast(members, cfg, layout, rng.child(0))
     predictions = arm_averaged_logits(members, batch.v_f, batch.v_g, layout,
                                       cfg.arm_f, cfg.arm_g)
@@ -261,7 +254,7 @@ def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
     rng children: 0 drives the (optional) transition jitter, 1 drives the
     observation perturbations, drawn as one (N, m) block.
     """
-    return Ensemble(_step(e.members, batch, cfg, layout, rng, batch_index)[0])
+    return Ensemble(_step(e.members.copy(), batch, cfg, layout, rng, batch_index)[0])
 
 
 def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, dict]:
@@ -270,8 +263,8 @@ def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, dict]:
     permutation drawn from rng child 1.p when cfg.shuffle_batches, and
     step t uses rng child 2 + t (child 0 initializes the ensemble). With
     one batch and one pass this is exactly init_ensemble followed by a
-    single train_step. Steps pass bare (N, d) arrays, so the members are
-    checked as an Ensemble once, on return.
+    single train_step. Every step updates one bare (N, d) array in place,
+    so the members are checked as an Ensemble once, on return.
 
     The trace holds trace.csv's _TRACE_COLUMNS in order, one entry per
     step: step (t), pass_index, batch_index, weight_g and noise_var

@@ -384,6 +384,30 @@ class TestExitCodes:
         assert main(["train", "--config", config, "--dataset", str(data),
                      "--output-dir", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_refused_input_leaves_no_output_dir(self, tmp_path, capsys, command):
+        # the output directory is made only once the inputs are read and checked
+        config = write_config(tmp_path)
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
+        good = tmp_path / "replicates" / "rep_000.csv"
+        assert main(["train", "--config", config, "--dataset", str(good),
+                     "--output-dir", str(tmp_path / "fit")]) == 0
+        data = self.replaced_cells(good, tmp_path / "x.csv", 1, {"emb_f_0": "x"})
+        checkpoint = tmp_path / "fit" / "checkpoint.menkf"
+        args = (["train", "--config", config] if command == "train"
+                else ["evaluate", "--checkpoint", str(checkpoint)])
+        capsys.readouterr()
+        assert main(args + ["--dataset", data, "--output-dir", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"menkf: {data}: row 3, column 'emb_f_0': 'x'")
+        assert not (tmp_path / "out").exists()
+        if command == "evaluate":  # and a refused checkpoint leaves none either
+            checkpoint.write_bytes(checkpoint.read_bytes()[:-8])
+            assert main(args + ["--dataset", str(good),
+                                "--output-dir", str(tmp_path / "out")]) == 1
+            assert "body is" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_nonfinite_dataset_cell(self, tmp_path, capsys):
         # nan in a feature cell stops train, inf in one stops evaluate
         config = write_config(tmp_path)

@@ -222,6 +222,16 @@ class TestAnalysis:
         out = analysis(members, predicted, y, obs_var, RngStream(seed))
         assert not out[:, zero].view(np.int64).any()  # +0.0 bit for bit, sign included
 
+    def test_shifts_members_in_place(self):
+        # the kernel writes its first argument; enkf_update copies it first
+        gen = np.random.default_rng(3)
+        members, obs = gen.standard_normal((20, 5)), gen.standard_normal((3, 5))
+        y, obs_var = gen.standard_normal(3), gen.uniform(0.5, 1.5, size=20)
+        expected = enkf_update(Ensemble(members), y, obs, obs_var, RngStream(4)).members
+        out = analysis(members, members @ obs.T, y, obs_var, RngStream(4))
+        assert out is members and members.flags.c_contiguous
+        assert members.tobytes() == expected.tobytes()
+
 
 class TestMemberPerturbations:
     def test_scaled_by_member_variance(self):

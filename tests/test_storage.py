@@ -3,8 +3,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
 import struct
+import threading
 import tracemalloc
 import typing
 from unittest import mock
@@ -585,6 +587,36 @@ class TestCheckpoint:
 
         assert peak(save_checkpoint, path, ensemble, cfg) < 0.1
         assert peak(load_checkpoint, path) < 2.5
+
+    def test_body_is_read_into_the_members(self, tmp_path):
+        # load holds the members and the finiteness mask, not the file's bytes
+        spec = ArmSpec(32, (16,), "tanh")
+        cfg = sample_config(arm_f=spec, arm_g=spec, ensemble_size=216)
+        members = np.random.default_rng(1).standard_normal((216, cfg.layout().dim))
+        path = tmp_path / "model.menkf"
+        save_checkpoint(path, Ensemble(members), cfg)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1] / members.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3
+        assert loaded.members.tobytes() == members.tobytes()
+        assert loaded.members.flags.c_contiguous and loaded.members.flags.writeable
+
+    def test_loads_from_a_pipe(self, tmp_path):
+        # a pipe has no size to check the body against, so it is read whole
+        path, members, cfg = self.roundtrip(tmp_path)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        loaded, loaded_cfg = load_checkpoint(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded.members.tobytes() == members.tobytes() and loaded_cfg == cfg
 
     def test_wrong_magic(self, tmp_path):
         path, *_ = self.roundtrip(tmp_path)

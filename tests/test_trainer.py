@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,7 +41,7 @@ def train_step_explicit(e: Ensemble, batch: Batch, cfg: MenkfConfig,
     operator kron([1, 1], [I_m, 0]). Matches train_step to floating-point
     noise when given the same rng.
     """
-    members = _forecast(e.members, cfg, layout, rng.child(0))
+    members = _forecast(e.members.copy(), cfg, layout, rng.child(0))
     weight_g = sigmoid(members[:, layout.a_index])[:, None]
     out_f = (1.0 - weight_g) * forward_batch(cfg.arm_f, members[:, layout.wf_slice], batch.v_f)
     out_g = weight_g * forward_batch(cfg.arm_g, members[:, layout.wg_slice], batch.v_g)
@@ -285,6 +286,21 @@ class TestTrainStep:
         assert e.members is members and members.tobytes() == before
         assert not np.shares_memory(out.members, members)
 
+    @pytest.mark.parametrize("settings", STEP_CASES.values(), ids=STEP_CASES.keys())
+    @pytest.mark.parametrize("arms", ARM_PAIRS.values(), ids=ARM_PAIRS.keys())
+    def test_input_members_bitwise_unchanged(self, arms, settings):
+        # the step updates its own copy in place, so repeating it repeats the bits
+        cfg = MenkfConfig(arm_f=arms[0], arm_g=arms[1], ensemble_size=20, init_var=1.0,
+                          **settings)
+        layout = cfg.layout()
+        e = Ensemble(np.random.default_rng(5).standard_normal((20, layout.dim)))
+        before = e.members.tobytes()
+        first = train_step(e, toy_batch(), cfg, layout, RngStream(6))
+        assert e.members.tobytes() == before
+        second = train_step(e, toy_batch(), cfg, layout, RngStream(6))
+        assert e.members.tobytes() == before
+        assert first.members.tobytes() == second.members.tobytes()
+
     def test_zero_spread_is_fixed_point(self):
         cfg = linear_config(ensemble_size=30)
         layout = cfg.layout()
@@ -524,6 +540,33 @@ class TestFit:
     def test_empty_batch_list_rejected(self):
         with pytest.raises(InvalidInputError):
             fit([], linear_config(), RngStream(0))
+
+    @pytest.mark.parametrize("settings", STEP_CASES.values(), ids=STEP_CASES.keys())
+    def test_members_stay_c_ordered(self, settings):
+        # arms.forward_batch sums each member's row as it is laid out
+        batches = [toy_batch(rows=4, seed=s) for s in range(3)]
+        got, _ = fit(batches, linear_config(ensemble_size=20, **settings), RngStream(9))
+        assert got.members.flags.c_contiguous
+
+    def test_peak_memory_is_members_plus_one_shift(self):
+        # the paper's arms (16 tanh units, 32 inputs): d = 1,094 at N = 216.
+        # Each step updates the one member array in place, beside one (N, d)
+        # shift, so the peak is about 2.24x the members
+        spec = ArmSpec(32, (16,), "tanh")
+        cfg = MenkfConfig(arm_f=spec, arm_g=spec, ensemble_size=216, init_var=0.1,
+                          batch_size=16)
+        gen = np.random.default_rng(0)
+        batches = make_batches(gen.standard_normal((64, 32)), gen.standard_normal((64, 32)),
+                               gen.standard_normal(64), cfg.batch_size)
+        nbytes = cfg.ensemble_size * cfg.layout().dim * 8
+        assert cfg.layout().dim == 1094
+        tracemalloc.start()
+        try:
+            fit(batches, cfg, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1] / nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.7
 
     def test_frozen_arm_logit_holds_weight(self):
         cfg = linear_config(fixed_arm_logit=0.0, passes_over_data=2)
