@@ -159,11 +159,13 @@ class StateLayout:
     def b_index(self) -> int:
         return self.column_height + self.n_pad + 1
 
+    def active_runs(self) -> tuple[slice, slice, slice]:
+        """The contiguous runs of coordinates that carry state: w_f, w_g, [a b]."""
+        return self.wf_slice, self.wg_slice, slice(self.a_index, self.b_index + 1)
+
     def active_indices(self) -> np.ndarray:
         """Coordinates that carry state, in layout order."""
-        wf = np.arange(self.n_f)
-        wg = np.arange(self.column_height, self.column_height + self.n_g)
-        return np.concatenate([wf, wg, [self.a_index, self.b_index]])
+        return np.concatenate([np.arange(run.start, run.stop) for run in self.active_runs()])
 
     def structural_zero_indices(self) -> np.ndarray:
         mask = np.ones(self.dim, dtype=bool)

@@ -33,7 +33,7 @@ from .simgen import SCENARIOS, Replicate, SimConfig, gen_base_probs, gen_replica
 from .storage import (_plain, from_dict, load_checkpoint, read_dataset_csv, read_json,
                       save_checkpoint, to_dict, write_dataset_csv, write_json,
                       write_manifest, write_rows_csv)
-from .trainer import MenkfConfig, fit, make_batches, sigmoid
+from .trainer import MenkfConfig, TrainerOptions, fit, make_batches, sigmoid
 
 # rng children of the root stream, one per pipeline stage
 _RNG_BASE = 0
@@ -43,20 +43,19 @@ _RNG_SPLIT = 3
 _RNG_STUDY_TRAIN = 4
 
 
-@dataclass(frozen=True)
-class TrainerSettings:
-    """Trainer section of the run config; arm input widths come from data.
+@dataclass(frozen=True, kw_only=True)
+class TrainerSettings(TrainerOptions):
+    """Trainer section of the run config: TrainerOptions and the arms'
+    hidden widths and activation; arm input widths come from data.
 
     The default arms are affine: with a symmetric zero-mean ensemble,
     hidden-layer weights carry no covariance with the prediction, so
     their Kalman updates would be pure sampling noise. Affine arms make
     every coordinate identified. The small weight jitter keeps ensemble
     spread honest across repeated passes. Hidden arms stay available
-    through hidden_dims_f / hidden_dims_g.
+    through hidden_dims_f / hidden_dims_g. Four defaults differ on purpose.
     """
 
-    ensemble_size: int = 216
-    init_var: float = 16.0
     hidden_dims_f: tuple[int, ...] = ()
     hidden_dims_g: tuple[int, ...] = ()
     activation: str = "identity"
@@ -64,18 +63,15 @@ class TrainerSettings:
     passes_over_data: int = 3
     jitter_var: float = 0.01
     variance_init: str = "gamma_shape_scale"
-    shuffle_batches: bool = False
 
     def __post_init__(self):
         self.make_config(1, 1)  # the trainer's own checks, at load time
 
     def make_config(self, p: int, q: int) -> MenkfConfig:
-        own = {f.name for f in dataclasses.fields(self)}
-        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(MenkfConfig)
-                  if f.name in own}
         return MenkfConfig(arm_f=ArmSpec(p, self.hidden_dims_f, self.activation),
                            arm_g=ArmSpec(q, self.hidden_dims_g, self.activation),
-                           **shared)
+                           **{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(TrainerOptions)})
 
 
 @dataclass(frozen=True)

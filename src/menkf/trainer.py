@@ -64,18 +64,11 @@ def inv_softplus(y):
     return out
 
 
-@dataclass(frozen=True)
-class MenkfConfig:
-    """Trainer configuration.
+@dataclass(frozen=True, kw_only=True)
+class TrainerOptions:
+    """Trainer options that the run config and the checkpoint share,
+    declared and checked once; the defaults are the checkpoint's."""
 
-    fixed_arm_logit / fixed_noise_var pin a and b to constants for the
-    whole run (members start there and are reset after each update);
-    with identity arms this makes the whole model linear-Gaussian,
-    which is how the exact-filter comparisons are run.
-    """
-
-    arm_f: ArmSpec
-    arm_g: ArmSpec
     ensemble_size: int = 216
     init_var: float = 16.0
     batch_size: int = 16
@@ -83,8 +76,6 @@ class MenkfConfig:
     jitter_var: float = 0.0
     variance_init: str = "gaussian"
     shuffle_batches: bool = False
-    fixed_arm_logit: float | None = None
-    fixed_noise_var: float | None = None
 
     def __post_init__(self):
         if self.ensemble_size < 2:
@@ -100,6 +91,25 @@ class MenkfConfig:
         if self.variance_init not in _VARIANCE_INITS:
             raise InvalidInputError(
                 f"variance_init must be one of {_VARIANCE_INITS}, got {self.variance_init!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class MenkfConfig(TrainerOptions):
+    """The checkpoint's trainer config: TrainerOptions, the arms and two pins.
+
+    fixed_arm_logit / fixed_noise_var pin a and b to constants for the
+    whole run (members start there and are reset after each update);
+    with identity arms this makes the whole model linear-Gaussian,
+    which is how the exact-filter comparisons are run.
+    """
+
+    arm_f: ArmSpec
+    arm_g: ArmSpec
+    fixed_arm_logit: float | None = None
+    fixed_noise_var: float | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.fixed_noise_var is not None and self.fixed_noise_var <= 0.0:
             raise InvalidInputError("fixed_noise_var must be > 0 when set")
 
@@ -210,12 +220,16 @@ def measure(e: Ensemble, batch: Batch, layout: StateLayout,
 
 def _forecast(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout,
               rng: RngStream) -> np.ndarray:
-    """Jitters members from rng and pins a and b, in place; returns members."""
+    """Jitters the active coordinates from rng run by run (no gathered copy)
+    and pins a and b, all in place; returns members."""
     if cfg.jitter_var > 0.0:
-        active = layout.active_indices()
-        gen = rng.generator()
-        members[:, active] += gen.normal(0.0, math.sqrt(cfg.jitter_var),
-                                         size=(members.shape[0], active.size))
+        runs = layout.active_runs()
+        noise = rng.generator().normal(0.0, math.sqrt(cfg.jitter_var), size=(
+            members.shape[0], sum(run.stop - run.start for run in runs)))
+        offset = 0
+        for run in runs:
+            members[:, run] += noise[:, offset:offset + run.stop - run.start]
+            offset += run.stop - run.start
     _apply_fixed(members, cfg, layout)
     return members
 

@@ -196,6 +196,8 @@ class TestStateLayout:
         assert lay.wg_slice == slice(7, 12)
         assert lay.a_index == 12
         assert lay.b_index == 13
+        assert lay.active_runs() == (slice(0, 3), slice(7, 12), slice(12, 14))
+        np.testing.assert_array_equal(lay.active_indices(), [0, 1, 2, 7, 8, 9, 10, 11, 12, 13])
         np.testing.assert_array_equal(lay.structural_zero_indices(), [3, 4, 5, 6])
 
     def test_equal_arms_have_two_zeros(self):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -12,13 +13,15 @@ import numpy as np
 import pytest
 
 import menkf
-from menkf.cli import (_RNG_BASE, _RNG_REPLICATES, _RNG_SPLIT, RunConfig,
+from menkf.arms import ArmSpec
+from menkf.cli import (_RNG_BASE, _RNG_REPLICATES, _RNG_SPLIT, RunConfig, TrainerSettings,
                        _aggregate_study, load_run_config, main, study_preset)
 from menkf.exceptions import ConfigError, NumericError
 from menkf.numerics import RngStream
 from menkf.simgen import gen_base_probs, gen_replicates, split
 from menkf.storage import (from_dict, load_checkpoint, read_dataset_csv, read_json, to_dict,
                            write_rows_csv)
+from menkf.trainer import MenkfConfig, TrainerOptions
 from menkf.uq import predict
 
 from manifest_check import verify_manifest
@@ -206,6 +209,52 @@ class TestStudyPreset:
 
     def test_defaults_are_the_well_specified_preset(self):
         assert study_preset("well_specified") == RunConfig()
+
+
+def option_values(option) -> list:
+    """Distinct valid values of one trainer option: the checkpoint's and the
+    run config's defaults and, for a flag or a number, one value more."""
+    shipped = getattr(TrainerSettings(), option.name)
+    values = [option.default, shipped]
+    if isinstance(shipped, bool):
+        values.append(not shipped)
+    elif isinstance(shipped, (int, float)):
+        values.append(shipped + 1)
+    return list(dict.fromkeys(values))
+
+
+class TestTrainerOptions:
+    @pytest.mark.parametrize("option", dataclasses.fields(TrainerOptions),
+                             ids=lambda option: option.name)
+    def test_each_option_reaches_the_trainer(self, option):
+        # a value that make_config dropped would arrive as one default for all
+        values = option_values(option)
+        assert len(values) >= 2
+        for value in values:
+            settings = dataclasses.replace(TrainerSettings(), **{option.name: value})
+            got = getattr(settings.make_config(3, 4), option.name)
+            assert got == value and type(got) is type(value)
+
+    def test_fields_are_the_options_plus_each_class_own(self):
+        options = [f.name for f in dataclasses.fields(TrainerOptions)]
+        assert [f.name for f in dataclasses.fields(TrainerSettings)] == \
+            options + ["hidden_dims_f", "hidden_dims_g", "activation"]
+        assert [f.name for f in dataclasses.fields(MenkfConfig)] == \
+            options + ["arm_f", "arm_g", "fixed_arm_logit", "fixed_noise_var"]
+
+    def test_shipped_and_checkpoint_defaults(self):
+        spec = ArmSpec(2, (), "identity")
+        picked = ("batch_size", "passes_over_data", "jitter_var", "variance_init")
+        settings, config = TrainerSettings(), MenkfConfig(arm_f=spec, arm_g=spec)
+        assert [getattr(settings, name) for name in picked] == [11, 3, 0.01, "gamma_shape_scale"]
+        assert [getattr(config, name) for name in picked] == [16, 1, 0.0, "gaussian"]
+        for name in ("ensemble_size", "init_var", "shuffle_batches"):
+            assert getattr(settings, name) == getattr(config, name)
+
+    def test_readme_config_shape_is_the_default_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Config shape", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == to_dict(RunConfig())
 
 
 class TestDefaults:

@@ -301,6 +301,20 @@ class TestTrainStep:
         assert e.members.tobytes() == before
         assert first.members.tobytes() == second.members.tobytes()
 
+    @pytest.mark.parametrize("arms", ARM_PAIRS.values(), ids=ARM_PAIRS.keys())
+    def test_jitter_is_the_drawn_block_on_the_active_coordinates(self, arms):
+        # _forecast adds the block run by run; the same draw added through
+        # the active index array gives the same bits
+        cfg = MenkfConfig(arm_f=arms[0], arm_g=arms[1], ensemble_size=20, jitter_var=0.05)
+        layout = cfg.layout()
+        members = init_ensemble(cfg, layout, RngStream(3)).members
+        active = layout.active_indices()
+        expected = members.copy()
+        expected[:, active] += RngStream(4).generator().normal(
+            0.0, math.sqrt(cfg.jitter_var), size=(20, active.size))
+        assert _forecast(members, cfg, layout, RngStream(4)) is members
+        assert members.tobytes() == expected.tobytes()
+
     def test_zero_spread_is_fixed_point(self):
         cfg = linear_config(ensemble_size=30)
         layout = cfg.layout()
@@ -548,13 +562,15 @@ class TestFit:
         got, _ = fit(batches, linear_config(ensemble_size=20, **settings), RngStream(9))
         assert got.members.flags.c_contiguous
 
-    def test_peak_memory_is_members_plus_one_shift(self):
+    @pytest.mark.parametrize("jitter_var", [0.0, 0.01])
+    def test_peak_memory_is_members_plus_one_shift(self, jitter_var):
         # the paper's arms (16 tanh units, 32 inputs): d = 1,094 at N = 216.
         # Each step updates the one member array in place, beside one (N, d)
-        # shift, so the peak is about 2.24x the members
+        # shift, so the peak is about 2.24x the members; the jitter is added
+        # run by run into the active coordinates, with no gathered copy
         spec = ArmSpec(32, (16,), "tanh")
         cfg = MenkfConfig(arm_f=spec, arm_g=spec, ensemble_size=216, init_var=0.1,
-                          batch_size=16)
+                          batch_size=16, jitter_var=jitter_var)
         gen = np.random.default_rng(0)
         batches = make_batches(gen.standard_normal((64, 32)), gen.standard_normal((64, 32)),
                                gen.standard_normal(64), cfg.batch_size)
