@@ -16,7 +16,8 @@ members are one (N, m) block from a single stream per step.
 
 analysis() is the one kernel: it takes the members and their predicted
 observations, so the trainer's nonlinear measurement and enkf_update's
-linear operator H both go through it; it shifts the members in place.
+linear operator H both go through it. It shifts the members in place, a
+block of state columns at a time, so no temporary it makes grows with d.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ import numpy as np
 
 from .exceptions import DimensionError, InvalidInputError
 from .numerics import RngStream, symmetrize
+
+_COLUMN_BLOCK = 128  # state columns per block of L and of the shift
 
 
 @dataclass
@@ -81,9 +84,10 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     obs_var : per-member observation noise variance, length N, all > 0.
     rng : stream used for the perturbed observations (one block per call).
 
-    Shifts members in place and returns it; an all-+0.0 column stays +0.0,
-    as its row of L is exactly 0. Raises numpy.linalg.LinAlgError, members
-    unchanged, if M is not finite or its eigendecomposition fails.
+    Shifts members in place, _COLUMN_BLOCK columns at a time, and returns
+    it; an all-+0.0 column stays +0.0, as its row of L is exactly 0.
+    Raises numpy.linalg.LinAlgError, members unchanged (no block is yet
+    written), if M is not finite or its eigendecomposition fails.
     """
     n, m = predicted.shape
     y = np.asarray(y, dtype=float)
@@ -96,9 +100,6 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
         raise InvalidInputError("obs_var entries must be positive and finite")
 
     centered_pred = predicted - predicted.mean(axis=0)
-    # L and M assembled without the d x d covariance; the centred members
-    # are freed at once, before the shift product needs two (N, d) arrays
-    cross = (members - members.mean(axis=0)).T @ centered_pred / n
     obs_block = centered_pred.T @ centered_pred / n  # eigh reads its lower triangle
 
     perturbed = member_perturbations(rng, n, m, obs_var)
@@ -113,12 +114,16 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     keep = eigvals > m * np.finfo(float).eps * max(eigvals[-1], 0.0)
     lam, basis = eigvals[keep], eigvecs[:, keep]
     coeffs = (residual @ basis) / (lam + obs_var[:, None])
-    # (d, k) @ (k, N) sums each entry in one order at any BLAS thread count,
+    # a block's rows of L, then its shift: no (N, d) or (d, m) temporary.
+    # (B, k) @ (k, N) sums each entry in one order at any BLAS thread count,
     # where (N, k) @ (k, d) did not; the add keeps members' own C order,
     # in which arms.forward_batch takes each member's row
-    shift = (cross @ basis) @ coeffs.T
-    del cross  # one (d, m) array fewer beside the two (N, d) ones of the sum
-    return np.add(members, shift.T, out=members)
+    for start in range(0, members.shape[1], _COLUMN_BLOCK):
+        cols = members[:, start:start + _COLUMN_BLOCK]
+        cross_b = (cols - cols.mean(axis=0)).T @ centered_pred / n
+        shift_b = (cross_b @ basis) @ coeffs.T
+        np.add(cols, shift_b.T, out=cols)
+    return members
 
 
 def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream) -> Ensemble:

@@ -33,6 +33,7 @@ from .numerics import RngStream
 _VARIANCE_INITS = ("gaussian", "gamma_shape_scale")
 _GAMMA_SHAPE = 100.0
 _GAMMA_SCALE = 0.01
+_DRAW_BLOCK = 2 ** 15  # most normals drawn in one call into the active runs
 _TRACE_COLUMNS = ("step", "pass_index", "batch_index", "weight_g", "noise_var",
                   "innovation_norm")
 
@@ -161,22 +162,32 @@ def _apply_fixed(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout) -> 
         members[:, layout.b_index] = inv_softplus(cfg.fixed_noise_var)
 
 
+def _add_normal(members: np.ndarray, layout: StateLayout, rng: RngStream, sd: float) -> None:
+    """Adds into the active runs of members, in place, the N(0, sd**2) draws
+    of one (N, |active|) normal call, made at most _DRAW_BLOCK floats at a time."""
+    gen, runs = rng.generator(), layout.active_runs()
+    widths = [run.stop - run.start for run in runs]
+    rows = max(1, _DRAW_BLOCK // sum(widths))
+    for start in range(0, members.shape[0], rows):
+        block = members[start:start + rows]
+        noise = gen.normal(0.0, sd, size=(block.shape[0], sum(widths)))
+        for run, part in zip(runs, np.split(noise, np.cumsum(widths[:-1]), axis=1)):
+            block[:, run] += part
+
+
 def init_ensemble(cfg: MenkfConfig, layout: StateLayout, rng: RngStream) -> Ensemble:
     """Draw the starting ensemble.
 
-    Active coordinates are i.i.d. N(0, init_var). Under
-    variance_init="gamma_shape_scale" the noise variance itself is drawn
-    from Gamma(100, 0.01) (mean 1) and b is set to its softplus
-    pre-image instead.
+    Active coordinates are i.i.d. N(0, init_var), added into zeros (a draw
+    is never -0.0). Under variance_init="gamma_shape_scale" the noise
+    variance itself is drawn from Gamma(100, 0.01) (mean 1) and b is set
+    to its softplus pre-image instead.
     """
     try:
         members = np.zeros((cfg.ensemble_size, layout.dim))
     except ValueError as err:  # numpy refuses a size past its index range at once
         raise MemoryError(err) from err
-    active = layout.active_indices()
-    gen = rng.child(0).generator()
-    members[:, active] = gen.normal(0.0, math.sqrt(cfg.init_var),
-                                    size=(cfg.ensemble_size, active.size))
+    _add_normal(members, layout, rng.child(0), math.sqrt(cfg.init_var))
     if cfg.variance_init == "gamma_shape_scale":
         draws = rng.child(1).generator().gamma(_GAMMA_SHAPE, _GAMMA_SCALE,
                                                size=cfg.ensemble_size)
@@ -220,16 +231,10 @@ def measure(e: Ensemble, batch: Batch, layout: StateLayout,
 
 def _forecast(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout,
               rng: RngStream) -> np.ndarray:
-    """Jitters the active coordinates from rng run by run (no gathered copy)
-    and pins a and b, all in place; returns members."""
+    """Jitters the active coordinates from rng a row block at a time and
+    pins a and b, all in place; returns members."""
     if cfg.jitter_var > 0.0:
-        runs = layout.active_runs()
-        noise = rng.generator().normal(0.0, math.sqrt(cfg.jitter_var), size=(
-            members.shape[0], sum(run.stop - run.start for run in runs)))
-        offset = 0
-        for run in runs:
-            members[:, run] += noise[:, offset:offset + run.stop - run.start]
-            offset += run.stop - run.start
+        _add_normal(members, layout, rng, math.sqrt(cfg.jitter_var))
     _apply_fixed(members, cfg, layout)
     return members
 
@@ -278,7 +283,9 @@ def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, dict]:
     step t uses rng child 2 + t (child 0 initializes the ensemble). With
     one batch and one pass this is exactly init_ensemble followed by a
     single train_step. Every step updates one bare (N, d) array in place,
-    so the members are checked as an Ensemble once, on return.
+    so the members are checked as an Ensemble once, on return. Beside it a
+    step holds (N, m) arrays, the arms' (N, m, width) layers and scratch
+    blocks of a fixed size.
 
     The trace holds trace.csv's _TRACE_COLUMNS in order, one entry per
     step: step (t), pass_index, batch_index, weight_g and noise_var

@@ -197,13 +197,16 @@ class TestEnkfUpdate:
 
 
 MODERATE = st.floats(-1e3, 1e3)
+BLOCK = enkf._COLUMN_BLOCK
 
 
 @st.composite
 def zero_column_cases(draw):
     """(members, zero, predicted, y, obs_var, seed): members whose columns
-    in the non-empty index list zero are all +0.0."""
-    n, d, m = draw(st.integers(2, 12)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    in the non-empty index list zero are all +0.0; d is small or crosses
+    the first edge of analysis's column blocks."""
+    n, m = draw(st.integers(2, 12)), draw(st.integers(1, 6))
+    d = draw(st.one_of(st.integers(1, 8), st.integers(BLOCK - 2, BLOCK + 3)))
     members = draw(hnp.arrays(float, (n, d), elements=MODERATE))
     zero = draw(st.lists(st.integers(0, d - 1), min_size=1, unique=True))
     members[:, zero] = 0.0
@@ -213,7 +216,29 @@ def zero_column_cases(draw):
     return members, zero, predicted, y, obs_var, draw(st.integers(0, 2**32))
 
 
+def whole_array_analysis(members, predicted, y, obs_var, rng):
+    """Oracle: the textbook per-member update x_i + L (M + v_i I)^-1 r_i,
+    with the whole (d, m) L and one solve per member."""
+    n = members.shape[0]
+    centered, centered_pred = members - members.mean(axis=0), predicted - predicted.mean(axis=0)
+    cross, obs_block = centered.T @ centered_pred / n, centered_pred.T @ centered_pred / n
+    residual = y + member_perturbations(rng, n, len(y), obs_var) - predicted
+    eye = np.eye(len(y))
+    return members + np.stack([cross @ np.linalg.solve(obs_block + v * eye, r)
+                               for v, r in zip(obs_var, residual)])
+
+
 class TestAnalysis:
+    @pytest.mark.parametrize("d", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_column_blocks_match_whole_array_formula(self, d):
+        gen = np.random.default_rng(d)
+        members, obs = gen.standard_normal((40, d)), gen.standard_normal((6, d))
+        predicted = np.tanh(members @ obs.T)  # a nonlinear measurement, m = 6 < N
+        y, obs_var = gen.standard_normal(6), gen.uniform(0.5, 1.5, size=40)
+        expected = whole_array_analysis(members, predicted, y, obs_var, RngStream(7))
+        out = analysis(members, predicted, y, obs_var, RngStream(7))
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
+
     @given(zero_column_cases())
     @settings(max_examples=300, deadline=None)
     def test_all_zero_columns_stay_positive_zero(self, case):
