@@ -239,6 +239,19 @@ def _study_worker(args) -> tuple[int, dict | None, str | None]:
         return j, None, f"{type(err).__name__}: {err}"
 
 
+def _in_order(pool, jobs, limit: int):
+    """_study_worker's results of jobs, in their order, from a pool handed at
+    most limit jobs at a time: the next job is drawn as a result arrives, so
+    the parent holds at most limit replicates however many there are."""
+    pending = []
+    for job in jobs:
+        pending.append(pool.submit(_study_worker, job))
+        if len(pending) == limit:
+            yield pending.pop(0).result()
+    for future in pending:
+        yield future.result()
+
+
 def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
                         parallel: bool | None = None) -> int:
     if cfg.train_n + cfg.test_n > cfg.sim.m:
@@ -255,10 +268,10 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
     if use_parallel and cfg.sim.replicates > 1:
         import concurrent.futures  # only --parallel pays for it (and for logging)
         from concurrent.futures.process import BrokenProcessPool
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(os.cpu_count() or 1, cfg.sim.replicates)) as pool:
+        workers = min(os.cpu_count() or 1, cfg.sim.replicates)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                results = list(pool.map(_study_worker, jobs))  # submits all J at once
+                results = list(_in_order(pool, jobs, 2 * workers))
             except BrokenProcessPool:  # a worker killed, e.g. by the OOM killer
                 print("menkf: replicate-study: a worker process ended abruptly; "
                       "no study written", file=sys.stderr)
@@ -269,17 +282,11 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
     rows = [row for _, row, err in results if err is None]
     failures = {str(j): err for j, _, err in results if err is not None}
     aggregates = _aggregate_study(rows)
-    study = {
-        "config": to_dict(cfg),
-        "aggregates": aggregates,
-        "failures": failures,
-        "n_replicates": cfg.sim.replicates,
-    }
-    write_json(out / "study.json", study)
-    write_rows_csv(out / "study.csv", {
-        name: [row[name] for row in rows]
-        for name in ("replicate", "coverage", "avg_width", "mae",
-                     "mean_arm_weight", "arm_f_weight", "n_test")})
+    write_json(out / "study.json", {"config": to_dict(cfg), "aggregates": aggregates,
+                                    "failures": failures, "n_replicates": cfg.sim.replicates})
+    from .uq import STUDY_METRICS
+    write_rows_csv(out / "study.csv", {name: [row[name] for row in rows]
+                                       for name in ("replicate", *STUDY_METRICS)})
     elapsed = time.perf_counter() - started
     if rows:
         print(f"study over {cfg.sim.replicates} replicates: "
@@ -297,27 +304,13 @@ def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
 
 
 def _aggregate_study(rows: list[dict]) -> dict:
-    """Study aggregates over the successful replicates; null (None) each
-    when there are none, which keeps study.json valid JSON."""
-    if not rows:
-        return {"coverage_pooled": None, "coverage_mean": None, "width_mean": None,
-                "width_sd": None, "mae_mean": None, "mean_arm_weight_mean": None,
-                "arm_f_weight_mean": None, "n_rows": 0}
-    coverages = np.array([r["coverage"] for r in rows])
-    widths = np.array([r["avg_width"] for r in rows])
-    n_tests = np.array([r["n_test"] for r in rows])
-    weights = np.array([r["mean_arm_weight"] for r in rows])
-    pooled = float((coverages * n_tests).sum() / n_tests.sum())
-    return {
-        "coverage_pooled": pooled,
-        "coverage_mean": float(coverages.mean()),
-        "width_mean": float(widths.mean()),
-        "width_sd": float(widths.std(ddof=1)) if len(rows) > 1 else 0.0,
-        "mae_mean": float(np.mean([r["mae"] for r in rows])),
-        "mean_arm_weight_mean": float(weights.mean()),
-        "arm_f_weight_mean": float(1.0 - weights.mean()),
-        "n_rows": len(rows),
-    }
+    """The uq.STUDY_METRICS aggregates of the successful replicates' reports and
+    n_rows; null (None) each when there are none, so study.json stays JSON."""
+    from .uq import STUDY_METRICS
+    cols = {key: np.array([row[key] for row in rows]) for key in STUDY_METRICS}
+    return {**{f"{stem}_{suffix}": stat(cols[key], cols) if rows else None
+               for key, (stem, stats) in STUDY_METRICS.items()
+               for suffix, stat in stats.items()}, "n_rows": len(rows)}
 
 
 # --------------------------------------------------------------- entrypoint

@@ -153,6 +153,26 @@ class AdequacyReport:
         return {**dataclasses.asdict(self), "arm_f_weight": 1.0 - self.mean_arm_weight}
 
 
+# The replicate study's one declaration of its outputs: each to_dict() key in study.csv
+# column order, the stem of its study.json aggregates, and the statistic behind each
+# <stem>_<suffix>, of the key's column x over the J replicates given every column c.
+_SD = {"sd": lambda x, c: float(x.std(ddof=1)) if x.size > 1 else 0.0}
+_MEAN_SE = {"mean": lambda x, c: float(x.mean()),
+            "se": lambda x, c: _SD["sd"](x, c) / x.size ** 0.5}
+STUDY_METRICS = {
+    "coverage": ("coverage", {
+        **_MEAN_SE, "pooled": lambda x, c: float((x * c["n_test"]).sum() / c["n_test"].sum())}),
+    "avg_width": ("width", {**_MEAN_SE, **_SD}),
+    "mae": ("mae", _MEAN_SE),
+    "mean_arm_weight": ("mean_arm_weight", _MEAN_SE),
+    "arm_f_weight": ("arm_f_weight", {  # 1 - mean_arm_weight_mean, as it always was
+        **_MEAN_SE, "mean": lambda x, c: float(1.0 - c["mean_arm_weight"].mean())}),
+    "n_test": ("n_test", {}),  # it only weights the pooled coverage
+    "frac_wide": ("frac_wide", _MEAN_SE),
+    "frac_contains_half": ("frac_contains_half", _MEAN_SE),
+}
+
+
 def interval_adequacy(point: np.ndarray, lo: np.ndarray, hi: np.ndarray, truth,
                       e: Ensemble, layout: StateLayout) -> AdequacyReport:
     """Coverage, width, point error, sharpness and arm weight in one report;

@@ -22,7 +22,7 @@ from menkf.simgen import gen_base_probs, gen_replicates, split
 from menkf.storage import (from_dict, load_checkpoint, read_dataset_csv, read_json, to_dict,
                            write_rows_csv)
 from menkf.trainer import MenkfConfig, TrainerOptions
-from menkf.uq import predict
+from menkf.uq import STUDY_METRICS, AdequacyReport, predict
 
 from manifest_check import verify_manifest
 
@@ -851,7 +851,8 @@ class TestPipeline:
                             "width_sd", "mae_mean", "arm_f_weight_mean"}
         lines = (out / "study.csv").read_text().splitlines()
         assert lines[0] == ("replicate,coverage,avg_width,mae,"
-                            "mean_arm_weight,arm_f_weight,n_test")
+                            "mean_arm_weight,arm_f_weight,n_test,"
+                            "frac_wide,frac_contains_half")
         assert len(lines) == 3
 
     def test_parallel_matches_sequential(self, tmp_path):
@@ -863,6 +864,26 @@ class TestPipeline:
                   "--parallel"])
         assert (seq / "study.json").read_bytes() == (par / "study.json").read_bytes()
         assert (seq / "study.csv").read_bytes() == (par / "study.csv").read_bytes()
+
+    def test_parallel_study_memory_does_not_grow_with_replicates(self, tmp_path, monkeypatch):
+        # the pool is handed at most 2 x workers jobs at a time, so at most four
+        # replicates are drawn and unfinished; at m = 200 one replicate holds
+        # about 0.1 MiB, so drawing all 24 up front would add over 2 MiB
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def peak(replicates, name):
+            config = write_config(tmp_path, dict(TINY, sim={"m": 200, "replicates": replicates}))
+            tracemalloc.start()
+            try:
+                self.run(["replicate-study", "--config", config, "--parallel",
+                          "--output-dir", str(tmp_path / name)])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3, "warm")  # the first call in a process makes one-time allocations
+        assert peak(24, "many") - peak(3, "few") < 2**20
+        assert read_json(tmp_path / "many" / "study.json")["aggregates"]["n_rows"] == 24
 
     def test_hidden_train_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # 16-unit tanh arms on 32 + 32 features (d = 1,094), three filter steps;
@@ -887,17 +908,31 @@ class TestPipeline:
 
 
 class TestAggregation:
+    ROW = {"coverage": 1.0, "avg_width": 0.2, "mae": 0.1, "mean_arm_weight": 0.4,
+           "arm_f_weight": 0.6, "n_test": 8, "frac_wide": 0.0, "frac_contains_half": 0.5}
+
     def test_empty_rows(self):
+        # every key of a study with replicates, each null, and no warning
         agg = _aggregate_study([])
         assert agg.pop("n_rows") == 0
         assert set(agg.values()) == {None}
+        assert set(agg) | {"n_rows"} == set(_aggregate_study([self.ROW]))
+
+    def test_one_row_has_zero_spread(self):
+        agg = _aggregate_study([self.ROW])
+        assert agg["n_rows"] == 1
+        assert agg["width_sd"] == 0.0
+        errors = {key: value for key, value in agg.items() if key.endswith("_se")}
+        assert len(errors) == 7
+        assert set(errors.values()) == {0.0}
+        assert agg["coverage_pooled"] == agg["coverage_mean"] == 1.0
+        assert agg["frac_contains_half_mean"] == 0.5
 
     def test_pooling_weights_by_test_size(self):
         rows = [
-            {"coverage": 1.0, "avg_width": 0.2, "mae": 0.1,
-             "mean_arm_weight": 0.4, "n_test": 8},
-            {"coverage": 0.5, "avg_width": 0.4, "mae": 0.3,
-             "mean_arm_weight": 0.2, "n_test": 2},
+            self.ROW,
+            {"coverage": 0.5, "avg_width": 0.4, "mae": 0.3, "mean_arm_weight": 0.2,
+             "arm_f_weight": 0.8, "n_test": 2, "frac_wide": 1.0, "frac_contains_half": 0.0},
         ]
         agg = _aggregate_study(rows)
         assert agg["coverage_pooled"] == pytest.approx(0.9)
@@ -906,3 +941,27 @@ class TestAggregation:
         assert agg["mean_arm_weight_mean"] == pytest.approx(0.3)
         assert agg["arm_f_weight_mean"] == pytest.approx(0.7)
         assert agg["n_rows"] == 2
+        # the sd of two values is |a - b| / sqrt(2), and the se that over sqrt(2)
+        assert agg["width_sd"] == pytest.approx(0.2 / 2**0.5)
+        assert agg["width_se"] == pytest.approx(0.1)
+        assert agg["frac_wide_mean"] == pytest.approx(0.5)
+        assert agg["frac_wide_se"] == pytest.approx(0.5)
+        assert agg["frac_contains_half_mean"] == pytest.approx(0.25)
+
+    def test_every_report_key_reaches_the_study(self, tmp_path):
+        # uq.STUDY_METRICS is the one list of study outputs; a report key it
+        # misses would be dropped from study.csv and from study.json
+        out = tmp_path / "study"
+        assert main(["replicate-study", "--config", write_config(tmp_path),
+                     "--output-dir", str(out)]) == 0
+        header = (out / "study.csv").read_text().splitlines()[0].split(",")
+        agg = read_json(out / "study.json")["aggregates"]
+        report = AdequacyReport(**{f.name: 0 for f in dataclasses.fields(AdequacyReport)})
+        keys = list(report.to_dict())
+        assert "arm_f_weight" in keys
+        for key in keys:
+            assert key in header
+            if key != "n_test":  # the pooling weight, aggregated as coverage_pooled
+                stem = STUDY_METRICS.get(key, (key,))[0]
+                assert {f"{stem}_mean", f"{stem}_se"} <= set(agg), key
+        assert header == ["replicate", *STUDY_METRICS]
