@@ -147,39 +147,20 @@ def load_run_config(path) -> RunConfig:
 
 # ----------------------------------------------------------------- commands
 
-def cmd_simulate(cfg: RunConfig, output_dir: str | None = None) -> int:
-    out = Path(output_dir or cfg.output_dir)
-    (out / "replicates").mkdir(parents=True, exist_ok=True)
+def _replicates(cfg: RunConfig):
+    """The run's replicates, each drawn as it is used: simulate writes
+    replicate j as rep_j.csv, and replicate-study fits it as replicate j."""
     root = RngStream(cfg.seed)
     base = gen_base_probs(cfg.sim, root.child(_RNG_BASE))
-    reps = gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
-    files = {}
-    for j, rep in enumerate(reps):  # each replicate is written as it is drawn
-        rel = f"replicates/rep_{j:03d}.csv"
-        write_dataset_csv(out / rel, rep)
-        files[rel] = out / rel
-    write_manifest(out / "manifest.json", cfg.seed, cfg.sim.scenario, files)
-    print(f"wrote {cfg.sim.replicates} replicate datasets under {out}")
-    return 0
+    return gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
 
 
-def cmd_train(cfg: RunConfig, dataset_path: str, output_dir: str | None = None) -> int:
-    data = read_dataset_csv(dataset_path)
+def _fit(cfg: RunConfig, data: Replicate, rng: RngStream):
+    """cfg's trainer fit to data: (ensemble, trace, trainer config, batches per pass)."""
     mcfg = cfg.trainer.make_config(data.v_f.shape[1], data.v_g.shape[1])
     batches = make_batches(data.v_f, data.v_g, data.target_logits, mcfg.batch_size)
-    out = Path(output_dir or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)  # only once the inputs are read and checked
-    started = time.perf_counter()
-    ensemble, trace = fit(batches, mcfg, RngStream(cfg.seed).child(_RNG_TRAIN))
-    elapsed = time.perf_counter() - started
-    save_checkpoint(out / "checkpoint.menkf", ensemble, mcfg)
-    write_rows_csv(out / "trace.csv", trace)
-    weight_g = trace["weight_g"][-1]
-    print(f"trained on {data.size} rows ({len(batches)} batches); "
-          f"final arm weights f={1.0 - weight_g:.4f} g={weight_g:.4f}, "
-          f"noise var {trace['noise_var'][-1]:.4f}")
-    print(f"[menkf] train took {elapsed:.2f}s", file=sys.stderr)
-    return 0
+    ensemble, trace = fit(batches, mcfg, rng)
+    return ensemble, trace, mcfg, len(batches)
 
 
 def _evaluate_ensemble(ensemble, mcfg: MenkfConfig, data) -> tuple[dict, tuple]:
@@ -193,7 +174,40 @@ def _evaluate_ensemble(ensemble, mcfg: MenkfConfig, data) -> tuple[dict, tuple]:
     return report.to_dict(), (point, lo, hi, truth)
 
 
-def cmd_evaluate(checkpoint_path: str, dataset_path: str, output_dir: str) -> int:
+def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+    (out / "replicates").mkdir(parents=True, exist_ok=True)
+    files = {}
+    try:
+        for j, rep in enumerate(_replicates(cfg)):  # each replicate is written as it is drawn
+            rel = f"replicates/rep_{j:03d}.csv"
+            write_dataset_csv(out / rel, rep)
+            files[rel] = out / rel
+    except ConfigError:  # a replicate refused as it was drawn: the run leaves no dataset
+        for path in files.values():
+            path.unlink()
+        raise
+    write_manifest(out / "manifest.json", cfg.seed, cfg.sim.scenario, files)
+    print(f"wrote {cfg.sim.replicates} replicate datasets under {out}")
+    return 0
+
+
+def cmd_train(cfg: RunConfig, dataset_path: str, out: Path) -> int:
+    data = read_dataset_csv(dataset_path)
+    out.mkdir(parents=True, exist_ok=True)  # only once the inputs are read and checked
+    started = time.perf_counter()
+    ensemble, trace, mcfg, n_batches = _fit(cfg, data, RngStream(cfg.seed).child(_RNG_TRAIN))
+    elapsed = time.perf_counter() - started
+    save_checkpoint(out / "checkpoint.menkf", ensemble, mcfg)
+    write_rows_csv(out / "trace.csv", trace)
+    weight_g = trace["weight_g"][-1]
+    print(f"trained on {data.size} rows ({n_batches} batches); "
+          f"final arm weights f={1.0 - weight_g:.4f} g={weight_g:.4f}, "
+          f"noise var {trace['noise_var'][-1]:.4f}")
+    print(f"[menkf] train took {elapsed:.2f}s", file=sys.stderr)
+    return 0
+
+
+def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: Path) -> int:
     ensemble, mcfg = load_checkpoint(checkpoint_path)
     data = read_dataset_csv(dataset_path)
     for block, found, spec in (("emb_f_", data.v_f.shape[1], mcfg.arm_f),
@@ -201,7 +215,6 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, output_dir: str) -> in
         if found != spec.input_dim:
             raise DataFormatError(f"{dataset_path}: {block}* block has {found} columns, "
                                   f"the checkpoint expects {spec.input_dim}")
-    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)  # only once the inputs are read and checked
     started = time.perf_counter()
     report, (point, lo, hi, truth) = _evaluate_ensemble(ensemble, mcfg, data)
@@ -222,10 +235,7 @@ def run_study_replicate(j: int, rep: Replicate, cfg: RunConfig) -> dict:
     root = RngStream(cfg.seed)
     train_part, test_part = split(rep, cfg.train_n, cfg.test_n,
                                   root.child(_RNG_SPLIT).child(j))
-    mcfg = cfg.trainer.make_config(rep.v_f.shape[1], rep.v_g.shape[1])
-    batches = make_batches(train_part.v_f, train_part.v_g,
-                           train_part.target_logits, mcfg.batch_size)
-    ensemble, _ = fit(batches, mcfg, root.child(_RNG_STUDY_TRAIN).child(j))
+    ensemble, _, mcfg, _ = _fit(cfg, train_part, root.child(_RNG_STUDY_TRAIN).child(j))
     report, _ = _evaluate_ensemble(ensemble, mcfg, test_part)
     report["replicate"] = j
     return report
@@ -252,20 +262,14 @@ def _in_order(pool, jobs, limit: int):
         yield future.result()
 
 
-def cmd_replicate_study(cfg: RunConfig, output_dir: str | None = None,
-                        parallel: bool | None = None) -> int:
+def cmd_replicate_study(cfg: RunConfig, out: Path, parallel: bool) -> int:
     if cfg.train_n + cfg.test_n > cfg.sim.m:
         raise ConfigError(f"split.train_n + split.test_n = {cfg.train_n} + {cfg.test_n} "
                           f"exceeds sim.m = {cfg.sim.m} rows per replicate")
-    out = Path(output_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    use_parallel = cfg.parallel if parallel is None else parallel
-    root = RngStream(cfg.seed)
     started = time.perf_counter()
-    base = gen_base_probs(cfg.sim, root.child(_RNG_BASE))
-    reps = gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
-    jobs = ((j, rep, cfg) for j, rep in enumerate(reps))  # drawn as they are used
-    if use_parallel and cfg.sim.replicates > 1:
+    jobs = ((j, rep, cfg) for j, rep in enumerate(_replicates(cfg)))
+    if parallel and cfg.sim.replicates > 1:
         import concurrent.futures  # only --parallel pays for it (and for logging)
         from concurrent.futures.process import BrokenProcessPool
         workers = min(os.cpu_count() or 1, cfg.sim.replicates)
@@ -353,7 +357,7 @@ def _build_parser() -> _Parser:
                            help="simulate, train, and evaluate all replicates")
     study.add_argument("--config", required=True)
     study.add_argument("--output-dir", default=None)
-    study.add_argument("--parallel", action="store_true", default=None)
+    study.add_argument("--parallel", action="store_true")
 
     cfg = sub.add_parser("config", help="configuration helpers")
     cfg_sub = cfg.add_subparsers(dest="config_command", required=True)
@@ -374,15 +378,15 @@ def main(argv=None) -> int:
             cfg = RunConfig() if args.study is None else study_preset(args.study)
             print(json.dumps(to_dict(cfg), indent=2, sort_keys=True))
             return 0
-        if args.command == "simulate":
-            return cmd_simulate(load_run_config(args.config), args.output_dir)
-        if args.command == "train":
-            return cmd_train(load_run_config(args.config), args.dataset,
-                             args.output_dir)
         if args.command == "evaluate":
-            return cmd_evaluate(args.checkpoint, args.dataset, args.output_dir)
-        return cmd_replicate_study(load_run_config(args.config),
-                                   args.output_dir, args.parallel)
+            return cmd_evaluate(args.checkpoint, args.dataset, Path(args.output_dir))
+        cfg = load_run_config(args.config)
+        out = Path(args.output_dir or cfg.output_dir)
+        if args.command == "simulate":
+            return cmd_simulate(cfg, out)
+        if args.command == "train":
+            return cmd_train(cfg, args.dataset, out)
+        return cmd_replicate_study(cfg, out, args.parallel or cfg.parallel)
     except (ConfigError, DataFormatError) as err:
         print(_failure(err), file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, InvalidInputError
+from .exceptions import ConfigError, DimensionError, InvalidInputError
 from .numerics import RngStream
 from .trainer import sigmoid
 
@@ -152,7 +152,9 @@ def gen_replicates(cfg: SimConfig, base: tuple[np.ndarray, np.ndarray, np.ndarra
     """Yield the J replicate datasets around one base truth, one at a time.
 
     Replicate j depends only on rng.child(j), so replicates can be drawn
-    (or redrawn) independently and in any order.
+    (or redrawn) independently and in any order. A replicate whose target
+    logits are not finite (surrogate_sd near the largest float) is a
+    ConfigError naming surrogate_sd, raised before it is yielded.
     """
     v_f, v_g, p_hat = base
     if v_f.shape != (cfg.m, cfg.p) or v_g.shape != (cfg.m, cfg.q):
@@ -171,6 +173,10 @@ def gen_replicates(cfg: SimConfig, base: tuple[np.ndarray, np.ndarray, np.ndarra
         perturbed = sigmoid(true_logits + eps)
         labels = (perturbed > cfg.threshold).astype(np.int64)
         target_noise = rep_rng.child(1).generator().normal(0.0, cfg.surrogate_sd, size=cfg.m)
+        targets = base_targets + target_noise
+        if not np.isfinite(targets).all():
+            raise ConfigError(f"surrogate_sd = {cfg.surrogate_sd!r} draws target logits "
+                              f"that are not finite in replicate {j}")
         if cfg.scenario == "misspecified":
             mis_gen = rep_rng.child(2).generator()
             rep_v_f = _EMB_SD * mis_gen.standard_normal((cfg.m, cfg.p))
@@ -180,7 +186,7 @@ def gen_replicates(cfg: SimConfig, base: tuple[np.ndarray, np.ndarray, np.ndarra
             v_f=rep_v_f,
             v_g=v_g.copy(),
             labels=labels,
-            target_logits=base_targets + target_noise,
+            target_logits=targets,
             true_prob=true_prob.copy(),
         )
 

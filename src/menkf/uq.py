@@ -178,6 +178,7 @@ def interval_adequacy(point: np.ndarray, lo: np.ndarray, hi: np.ndarray, truth,
     """Coverage, width, point error, sharpness and arm weight in one report;
     a mean absolute error that overflows is a NumericError."""
     truth = np.asarray(truth, dtype=float)
+    covered = _coverage(lo, hi, truth)  # first: it checks truth against the intervals
     width = hi - lo
     try:
         with np.errstate(over="raise"):
@@ -185,7 +186,7 @@ def interval_adequacy(point: np.ndarray, lo: np.ndarray, hi: np.ndarray, truth,
     except FloatingPointError as err:
         raise NumericError(f"mean absolute error is not finite ({err})") from err
     return AdequacyReport(
-        coverage=_coverage(lo, hi, truth),
+        coverage=covered,
         avg_width=float(np.mean(width)),
         mae=mae,
         mean_arm_weight=float(np.mean(sigmoid(e.members[:, layout.a_index]))),

@@ -14,13 +14,13 @@ import pytest
 
 import menkf
 from menkf.arms import ArmSpec
-from menkf.cli import (_RNG_BASE, _RNG_REPLICATES, _RNG_SPLIT, RunConfig, TrainerSettings,
-                       _aggregate_study, load_run_config, main, study_preset)
+from menkf.cli import (_RNG_SPLIT, RunConfig, TrainerSettings, _aggregate_study, _replicates,
+                       load_run_config, main, study_preset)
 from menkf.exceptions import ConfigError, NumericError
 from menkf.numerics import RngStream
-from menkf.simgen import gen_base_probs, gen_replicates, split
+from menkf.simgen import split
 from menkf.storage import (from_dict, load_checkpoint, read_dataset_csv, read_json, to_dict,
-                           write_rows_csv)
+                           write_dataset_csv, write_rows_csv)
 from menkf.trainer import MenkfConfig, TrainerOptions
 from menkf.uq import STUDY_METRICS, AdequacyReport, predict
 
@@ -268,12 +268,10 @@ class TestDefaults:
         # the same test rows run_study_replicate evaluates on
         cfg = from_dict(RunConfig, doc)
         root = RngStream(cfg.seed)
-        base = gen_base_probs(cfg.sim, root.child(_RNG_BASE))
-        reps = gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
         constant_mae = np.mean([
             np.mean(np.abs(0.5 - split(rep, cfg.train_n, cfg.test_n,
                                        root.child(_RNG_SPLIT).child(j))[1].true_prob))
-            for j, rep in enumerate(reps)])
+            for j, rep in enumerate(_replicates(cfg))])
         assert agg["n_rows"] == 5
         assert agg["width_mean"] < 0.9
         assert agg["mae_mean"] < constant_mae
@@ -705,6 +703,19 @@ class TestExitCodes:
         assert main(["simulate", "--config", write_config(tmp_path, doc),
                      "--output-dir", str(tmp_path / "sim")]) == 0
 
+    def test_overflowing_surrogate_sd_is_refused_as_drawn(self, tmp_path, capsys):
+        # at seed 0 replicate 0 draws finite target logits and replicate 1 does
+        # not, so simulate has written rep_000.csv when it refuses
+        doc = dict(TINY, sim=dict(TINY["sim"], surrogate_sd=1e308))
+        config = write_config(tmp_path, doc)
+        for command in ("simulate", "replicate-study"):
+            out = tmp_path / command
+            assert main([command, "--config", config, "--output-dir", str(out)]) == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line == ("menkf: surrogate_sd = 1e+308 draws target logits that are "
+                            "not finite in replicate 1")
+            assert not any(path.is_file() for path in out.rglob("*"))
+
 
 class TestPipeline:
     def run(self, args):
@@ -809,6 +820,17 @@ class TestPipeline:
             assert pa.read_bytes() == pb.read_bytes()
         assert ((tmp_path / "one" / "manifest.json").read_bytes()
                 == (tmp_path / "two" / "manifest.json").read_bytes())
+
+    def test_simulate_writes_the_study_replicates(self, tmp_path):
+        # replicate j of a study is the dataset simulate writes as rep_j.csv
+        config = write_config(tmp_path)
+        self.run(["simulate", "--config", config, "--output-dir", str(tmp_path / "sim")])
+        reps = list(_replicates(load_run_config(config)))
+        assert len(reps) == TINY["sim"]["replicates"]
+        for j, rep in enumerate(reps):
+            write_dataset_csv(tmp_path / "drawn.csv", rep)
+            assert ((tmp_path / "sim" / "replicates" / f"rep_{j:03d}.csv").read_bytes()
+                    == (tmp_path / "drawn.csv").read_bytes())
 
     def test_simulate_memory_does_not_grow_with_replicates(self, tmp_path):
         # each replicate is written as it is drawn; at m = 200 one replicate

@@ -14,7 +14,7 @@ from menkf.numerics import RngStream, empirical_quantile
 from menkf.trainer import (MenkfConfig, arm_averaged_logits, fit, init_ensemble,
                            make_batches, sigmoid)
 from menkf.uq import (AdequacyReport, PredictionSummary, adequacy, coverage,
-                      interval_arrays, predict)
+                      interval_adequacy, interval_arrays, predict)
 
 LAYOUT = StateLayout(2, 2)
 SPEC = ArmSpec(1, (), "identity")
@@ -290,6 +290,19 @@ class TestAdequacy:
         e = constant_ensemble([0.0, 0.0], a=40.0)  # all weight on arm g
         report = adequacy([summary(0.1, 0.9)], [0.5], e, LAYOUT)
         assert report.mean_arm_weight == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("length", [2, 4, 1])  # n - 1, n + 1 and 1 for n = 3
+    def test_truth_of_the_wrong_length(self, length):
+        # the shape is checked before the point error is taken, which would
+        # broadcast a length-1 truth and fail on the others with numpy's error
+        sums = [summary(0.1, 0.3), summary(0.4, 0.6), summary(0.7, 0.9)]
+        point, lo, hi = (np.array([getattr(s, name) for s in sums])
+                         for name in ("point", "lo", "hi"))
+        truth, e = np.full(length, 0.5), constant_ensemble([0.0, 0.0])
+        with pytest.raises(DimensionError, match=f"truth length \\({length},\\)"):
+            interval_adequacy(point, lo, hi, truth, e, LAYOUT)
+        with pytest.raises(DimensionError, match=f"truth length \\({length},\\)"):
+            adequacy(sums, truth, e, LAYOUT)
 
 
 class TestPredictAfterFit:
