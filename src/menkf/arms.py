@@ -27,37 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ArmSpec
 from .exceptions import DimensionError, InvalidInputError
 
-# Each activation writes over its argument, a layer's own fresh array.
+# The function of each name in config.ACTIVATIONS; each writes over its
+# argument, a layer's own fresh array.
 _ACTIVATIONS = {
     "identity": lambda z: z,
     "tanh": lambda z: np.tanh(z, out=z),
     "relu": lambda z: np.maximum(z, 0.0, out=z),
 }
-
-
-@dataclass(frozen=True)
-class ArmSpec:
-    """Architecture of one arm: input width, hidden widths, activation."""
-
-    input_dim: int
-    hidden_dims: tuple[int, ...] = (16,)
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1:
-            raise InvalidInputError(f"input_dim must be >= 1, got {self.input_dim}")
-        if any(h < 1 for h in self.hidden_dims):
-            raise InvalidInputError(f"hidden sizes must be >= 1, got {self.hidden_dims}")
-        if self.activation not in _ACTIVATIONS:
-            raise InvalidInputError(
-                f"unknown activation {self.activation!r}; choose from {sorted(_ACTIVATIONS)}")
-
-    def layer_dims(self) -> list[tuple[int, int]]:
-        widths = [self.input_dim, *self.hidden_dims, 1]
-        return list(zip(widths[:-1], widths[1:]))
 
 
 def param_count(spec: ArmSpec) -> int:

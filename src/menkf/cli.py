@@ -3,9 +3,11 @@
 Subcommands: simulate, train, evaluate, replicate-study, and
 config print-defaults. All take a JSON run configuration (except
 evaluate, which reads the trainer settings out of the checkpoint).
-The config's JSON shape is that of RunConfig (storage.to_dict /
-from_dict): unknown keys and mistyped values are rejected. The
+The run config is config.RunConfig, and its JSON shape is config.to_dict /
+from_dict: unknown keys and mistyped values are rejected. The
 MENKF_SEED environment variable, when set, overrides the configured seed.
+Each numeric layer loads on first use (_lazy), so config commands, --help,
+usage errors and refused run configs never load numpy.
 
 Exit codes: 0 success; 1 usage, configuration, or input-format
 errors; 2 runtime failures (numerical errors, I/O, out of memory).
@@ -16,24 +18,15 @@ Wall-clock timings go to stderr only, for that reason.
 """
 
 import argparse
-import dataclasses
+import importlib.util
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .arms import ArmSpec
-from .exceptions import ConfigError, DataFormatError, InvalidInputError, MenkfError
-from .numerics import RngStream
-from .simgen import SCENARIOS, Replicate, SimConfig, gen_base_probs, gen_replicates, split
-from .storage import (_plain, from_dict, load_checkpoint, read_dataset_csv, read_json,
-                      save_checkpoint, to_dict, write_dataset_csv, write_json,
-                      write_manifest, write_rows_csv)
-from .trainer import MenkfConfig, TrainerOptions, fit, make_batches, sigmoid
+from .config import RunConfig, TrainerSettings, load_run_config, study_preset, to_dict
+from .exceptions import ConfigError, DataFormatError, MenkfError
 
 # rng children of the root stream, one per pipeline stage
 _RNG_BASE = 0
@@ -43,106 +36,30 @@ _RNG_SPLIT = 3
 _RNG_STUDY_TRAIN = 4
 
 
-@dataclass(frozen=True, kw_only=True)
-class TrainerSettings(TrainerOptions):
-    """Trainer section of the run config: TrainerOptions and the arms'
-    hidden widths and activation; arm input widths come from data.
-
-    The default arms are affine: with a symmetric zero-mean ensemble,
-    hidden-layer weights carry no covariance with the prediction, so
-    their Kalman updates would be pure sampling noise. Affine arms make
-    every coordinate identified. The small weight jitter keeps ensemble
-    spread honest across repeated passes. Hidden arms stay available
-    through hidden_dims_f / hidden_dims_g. Four defaults differ on purpose.
-    """
-
-    hidden_dims_f: tuple[int, ...] = ()
-    hidden_dims_g: tuple[int, ...] = ()
-    activation: str = "identity"
-    batch_size: int = 11
-    passes_over_data: int = 3
-    jitter_var: float = 0.01
-    variance_init: str = "gamma_shape_scale"
-
-    def __post_init__(self):
-        self.make_config(1, 1)  # the trainer's own checks, at load time
-
-    def make_config(self, p: int, q: int) -> MenkfConfig:
-        return MenkfConfig(arm_f=ArmSpec(p, self.hidden_dims_f, self.activation),
-                           arm_g=ArmSpec(q, self.hidden_dims_g, self.activation),
-                           **{f.name: getattr(self, f.name)
-                              for f in dataclasses.fields(TrainerOptions)})
+def _lazy(name: str):
+    """menkf.<name>, registered as an imported submodule is but run only on
+    its first attribute access."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
 
 
-@dataclass(frozen=True)
-class SplitSettings:
-    """Rows per replicate for training and for testing."""
-
-    train_n: int = 66
-    test_n: int = 8
-
-    def __post_init__(self):
-        for name in ("train_n", "test_n"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+def _load(*modules) -> None:
+    """Runs each _lazy module now, if it has not run yet."""
+    for module in modules:
+        vars(module)  # any attribute access runs a lazy module
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The whole run config; its JSON form is storage.to_dict(cfg)."""
-
-    seed: int = 0
-    output_dir: str = "menkf-out"
-    parallel: bool = False
-    sim: SimConfig = SimConfig()
-    trainer: TrainerSettings = TrainerSettings()
-    split: SplitSettings = SplitSettings()
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:  # RngStream reads a seed modulo 2**64
-            raise InvalidInputError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
-
-    @property
-    def train_n(self) -> int:
-        return self.split.train_n
-
-    @property
-    def test_n(self) -> int:
-        return self.split.test_n
-
-
-def study_preset(scenario: str) -> RunConfig:
-    """Frozen run configuration for one scenario's replicate study.
-
-    The default trainer, except that the stacked scenario uses a larger,
-    tighter-prior ensemble and more passes so the arm weight settles by
-    fit quality rather than by initialization luck.
-    """
-    if scenario not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
-    trainer = TrainerSettings()
-    if scenario == "stacked_average":
-        trainer = dataclasses.replace(trainer, ensemble_size=433, init_var=2.0,
-                                      passes_over_data=5)
-    return RunConfig(sim=SimConfig(scenario=scenario), trainer=trainer)
-
-
-def load_run_config(path) -> RunConfig:
-    cfg = from_dict(RunConfig, read_json(path))
-    env_seed = os.environ.get("MENKF_SEED")
-    if env_seed is not None:
-        try:
-            if not _plain(env_seed):  # int() strips padding, reads "4_1" and non-ASCII digits
-                raise ValueError(env_seed)
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"MENKF_SEED={env_seed!r} is not an integer") from None
-        try:
-            cfg = dataclasses.replace(cfg, seed=seed)
-        except InvalidInputError as err:
-            raise ConfigError(f"MENKF_SEED: {err}") from None
-    return cfg
+# arms and enkf too: bench/trace_cli.py wraps functions only in the menkf
+# modules present right after `import menkf.cli`
+arms, enkf, numerics, simgen, storage, trainer, uq = map(
+    _lazy, ("arms", "enkf", "numerics", "simgen", "storage", "trainer", "uq"))
 
 
 # ----------------------------------------------------------------- commands
@@ -150,27 +67,27 @@ def load_run_config(path) -> RunConfig:
 def _replicates(cfg: RunConfig):
     """The run's replicates, each drawn as it is used: simulate writes
     replicate j as rep_j.csv, and replicate-study fits it as replicate j."""
-    root = RngStream(cfg.seed)
-    base = gen_base_probs(cfg.sim, root.child(_RNG_BASE))
-    return gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
+    root = numerics.RngStream(cfg.seed)
+    base = simgen.gen_base_probs(cfg.sim, root.child(_RNG_BASE))
+    return simgen.gen_replicates(cfg.sim, base, root.child(_RNG_REPLICATES))
 
 
-def _fit(cfg: RunConfig, data: Replicate, rng: RngStream):
+def _fit(cfg: RunConfig, data: "simgen.Replicate", rng: "numerics.RngStream"):
     """cfg's trainer fit to data: (ensemble, trace, trainer config, batches per pass)."""
     mcfg = cfg.trainer.make_config(data.v_f.shape[1], data.v_g.shape[1])
-    batches = make_batches(data.v_f, data.v_g, data.target_logits, mcfg.batch_size)
-    ensemble, trace = fit(batches, mcfg, rng)
+    batches = trainer.make_batches(data.v_f, data.v_g, data.target_logits, mcfg.batch_size)
+    ensemble, trace = trainer.fit(batches, mcfg, rng)
     return ensemble, trace, mcfg, len(batches)
 
 
-def _evaluate_ensemble(ensemble, mcfg: MenkfConfig, data) -> tuple[dict, tuple]:
+def _evaluate_ensemble(ensemble, mcfg: "trainer.MenkfConfig", data) -> tuple[dict, tuple]:
     """The report and the (point, lo, hi, truth) arrays of one evaluation."""
-    from .uq import interval_adequacy, interval_arrays  # only evaluations pay for it
     layout = mcfg.layout()
-    point, lo, hi = interval_arrays(ensemble, data.v_f, data.v_g, layout,
-                                    mcfg.arm_f, mcfg.arm_g)
-    truth = data.true_prob if data.true_prob is not None else sigmoid(data.target_logits)
-    report = interval_adequacy(point, lo, hi, truth, ensemble, layout)
+    point, lo, hi = uq.interval_arrays(ensemble, data.v_f, data.v_g, layout,
+                                       mcfg.arm_f, mcfg.arm_g)
+    truth = (data.true_prob if data.true_prob is not None
+             else trainer.sigmoid(data.target_logits))
+    report = uq.interval_adequacy(point, lo, hi, truth, ensemble, layout)
     return report.to_dict(), (point, lo, hi, truth)
 
 
@@ -180,25 +97,26 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     try:
         for j, rep in enumerate(_replicates(cfg)):  # each replicate is written as it is drawn
             rel = f"replicates/rep_{j:03d}.csv"
-            write_dataset_csv(out / rel, rep)
+            storage.write_dataset_csv(out / rel, rep)
             files[rel] = out / rel
     except ConfigError:  # a replicate refused as it was drawn: the run leaves no dataset
         for path in files.values():
             path.unlink()
         raise
-    write_manifest(out / "manifest.json", cfg.seed, cfg.sim.scenario, files)
+    storage.write_manifest(out / "manifest.json", cfg.seed, cfg.sim.scenario, files)
     print(f"wrote {cfg.sim.replicates} replicate datasets under {out}")
     return 0
 
 
 def cmd_train(cfg: RunConfig, dataset_path: str, out: Path) -> int:
-    data = read_dataset_csv(dataset_path)
+    data = storage.read_dataset_csv(dataset_path)
     out.mkdir(parents=True, exist_ok=True)  # only once the inputs are read and checked
     started = time.perf_counter()
-    ensemble, trace, mcfg, n_batches = _fit(cfg, data, RngStream(cfg.seed).child(_RNG_TRAIN))
+    ensemble, trace, mcfg, n_batches = _fit(cfg, data,
+                                            numerics.RngStream(cfg.seed).child(_RNG_TRAIN))
     elapsed = time.perf_counter() - started
-    save_checkpoint(out / "checkpoint.menkf", ensemble, mcfg)
-    write_rows_csv(out / "trace.csv", trace)
+    storage.save_checkpoint(out / "checkpoint.menkf", ensemble, mcfg)
+    storage.write_rows_csv(out / "trace.csv", trace)
     weight_g = trace["weight_g"][-1]
     print(f"trained on {data.size} rows ({n_batches} batches); "
           f"final arm weights f={1.0 - weight_g:.4f} g={weight_g:.4f}, "
@@ -208,8 +126,8 @@ def cmd_train(cfg: RunConfig, dataset_path: str, out: Path) -> int:
 
 
 def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: Path) -> int:
-    ensemble, mcfg = load_checkpoint(checkpoint_path)
-    data = read_dataset_csv(dataset_path)
+    ensemble, mcfg = storage.load_checkpoint(checkpoint_path)
+    data = storage.read_dataset_csv(dataset_path)
     for block, found, spec in (("emb_f_", data.v_f.shape[1], mcfg.arm_f),
                                ("emb_g_", data.v_g.shape[1], mcfg.arm_g)):
         if found != spec.input_dim:
@@ -219,10 +137,10 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: Path) -> int:
     started = time.perf_counter()
     report, (point, lo, hi, truth) = _evaluate_ensemble(ensemble, mcfg, data)
     elapsed = time.perf_counter() - started
-    write_json(out / "report.json", report)
-    write_rows_csv(out / "intervals.csv", {"row": np.arange(point.size), "point": point,
-                                           "lo": lo, "hi": hi, "width": hi - lo,
-                                           "true_prob": truth})
+    storage.write_json(out / "report.json", report)
+    storage.write_rows_csv(out / "intervals.csv", {"row": range(point.size), "point": point,
+                                                   "lo": lo, "hi": hi, "width": hi - lo,
+                                                   "true_prob": truth})
     print(f"coverage {report['coverage']:.4f}, avg width {report['avg_width']:.4f}, "
           f"mae {report['mae']:.4f}, arm f weight {report['arm_f_weight']:.4f} "
           f"on {report['n_test']} rows")
@@ -230,11 +148,11 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: Path) -> int:
     return 0
 
 
-def run_study_replicate(j: int, rep: Replicate, cfg: RunConfig) -> dict:
+def run_study_replicate(j: int, rep: "simgen.Replicate", cfg: RunConfig) -> dict:
     """Split, train, and evaluate replicate j; deterministic in (j, cfg)."""
-    root = RngStream(cfg.seed)
-    train_part, test_part = split(rep, cfg.train_n, cfg.test_n,
-                                  root.child(_RNG_SPLIT).child(j))
+    root = numerics.RngStream(cfg.seed)
+    train_part, test_part = simgen.split(rep, cfg.train_n, cfg.test_n,
+                                         root.child(_RNG_SPLIT).child(j))
     ensemble, _, mcfg, _ = _fit(cfg, train_part, root.child(_RNG_STUDY_TRAIN).child(j))
     report, _ = _evaluate_ensemble(ensemble, mcfg, test_part)
     report["replicate"] = j
@@ -272,6 +190,7 @@ def cmd_replicate_study(cfg: RunConfig, out: Path, parallel: bool) -> int:
     if parallel and cfg.sim.replicates > 1:
         import concurrent.futures  # only --parallel pays for it (and for logging)
         from concurrent.futures.process import BrokenProcessPool
+        _load(simgen, trainer, uq)  # once here, so that forked workers inherit them
         workers = min(os.cpu_count() or 1, cfg.sim.replicates)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
@@ -286,11 +205,11 @@ def cmd_replicate_study(cfg: RunConfig, out: Path, parallel: bool) -> int:
     rows = [row for _, row, err in results if err is None]
     failures = {str(j): err for j, _, err in results if err is not None}
     aggregates = _aggregate_study(rows)
-    write_json(out / "study.json", {"config": to_dict(cfg), "aggregates": aggregates,
-                                    "failures": failures, "n_replicates": cfg.sim.replicates})
-    from .uq import STUDY_METRICS
-    write_rows_csv(out / "study.csv", {name: [row[name] for row in rows]
-                                       for name in ("replicate", *STUDY_METRICS)})
+    storage.write_json(out / "study.json",
+                       {"config": to_dict(cfg), "aggregates": aggregates,
+                        "failures": failures, "n_replicates": cfg.sim.replicates})
+    storage.write_rows_csv(out / "study.csv", {name: [row[name] for row in rows]
+                                               for name in ("replicate", *uq.STUDY_METRICS)})
     elapsed = time.perf_counter() - started
     if rows:
         print(f"study over {cfg.sim.replicates} replicates: "
@@ -310,10 +229,10 @@ def cmd_replicate_study(cfg: RunConfig, out: Path, parallel: bool) -> int:
 def _aggregate_study(rows: list[dict]) -> dict:
     """The uq.STUDY_METRICS aggregates of the successful replicates' reports and
     n_rows; null (None) each when there are none, so study.json stays JSON."""
-    from .uq import STUDY_METRICS
-    cols = {key: np.array([row[key] for row in rows]) for key in STUDY_METRICS}
+    import numpy as np  # here, not at the top, so that config commands never load it
+    cols = {key: np.array([row[key] for row in rows]) for key in uq.STUDY_METRICS}
     return {**{f"{stem}_{suffix}": stat(cols[key], cols) if rows else None
-               for key, (stem, stats) in STUDY_METRICS.items()
+               for key, (stem, stats) in uq.STUDY_METRICS.items()
                for suffix, stat in stats.items()}, "n_rows": len(rows)}
 
 

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_REPLICATES, SCENARIOS, SimConfig  # declared with the run config
 from .exceptions import ConfigError, DimensionError, InvalidInputError
 from .numerics import RngStream
 from .trainer import sigmoid
-
-SCENARIOS = ("well_specified", "misspecified", "stacked_average")
 
 # Fixed generator internals; changing them changes every dataset.
 # Feature entries are kept at embedding-like scale (sd _EMB_SD, so row
@@ -42,45 +41,12 @@ _LOGIT_SCALE = 3.0
 _MIX_RANK = 8
 _MIX_SIGNAL_SHARE = 0.4
 _LOGIT_EPS = 1e-12
-MAX_REPLICATES = 1000  # simulate names them rep_000 ... rep_999
 
 
 def logit(p):
     """Inverse of the logistic function, clipped away from 0 and 1."""
     p = np.clip(np.asarray(p, dtype=float), _LOGIT_EPS, 1.0 - _LOGIT_EPS)
     return np.log(p) - np.log1p(-p)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Generator settings; seed is owned by the caller's RngStream."""
-
-    m: int = 74
-    replicates: int = 50
-    perturb_sd: float = 0.01
-    threshold: float = 0.5
-    p: int = 32
-    q: int = 32
-    scenario: str = "well_specified"
-    surrogate_sd: float = 0.05
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidInputError(f"m must be >= 2, got {self.m}")
-        if not 1 <= self.replicates <= MAX_REPLICATES:
-            raise InvalidInputError(
-                f"replicates must be in [1, {MAX_REPLICATES}], got {self.replicates}")
-        if self.perturb_sd < 0.0:
-            raise InvalidInputError(f"perturb_sd must be >= 0, got {self.perturb_sd}")
-        if not 0.0 < self.threshold < 1.0:
-            raise InvalidInputError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.p < 1 or self.q < 1:
-            raise InvalidInputError("feature widths p and q must be >= 1")
-        if self.scenario not in SCENARIOS:
-            raise InvalidInputError(
-                f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.surrogate_sd < 0.0:
-            raise InvalidInputError(f"surrogate_sd must be >= 0, got {self.surrogate_sd}")
 
 
 @dataclass

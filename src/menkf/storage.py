@@ -1,5 +1,5 @@
-"""File formats: CSV datasets, JSON documents, manifests, checkpoints,
-and the one JSON schema of every config dataclass.
+"""File formats: CSV datasets, JSON documents, manifests and checkpoints.
+The JSON schema of the config dataclasses is config's to_dict / from_dict.
 
 Everything written here is deterministic for identical inputs — floats
 are serialized with repr (shortest round-trip), JSON keys are sorted,
@@ -18,11 +18,6 @@ one struct _PREFIX, packed on save and unpacked on load:
 The body round-trips bitwise; loading reads the header with from_dict,
 which refuses counts that disagree with the embedded config, re-hashes
 the config and refuses a header that was edited.
-
-Config dataclasses (the run config, the trainer config, arm specs) map
-to JSON through to_dict / from_dict, driven by the dataclass fields and
-their type hints: a nested dataclass is a JSON object, a tuple a list.
-from_dict rejects unknown keys and checks every value strictly.
 """
 
 import array
@@ -32,13 +27,12 @@ import io
 import json
 import math
 import struct
-import types
-import typing
 from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
 
+from .config import _plain, _unique_keys, from_dict, read_json, to_dict  # read_json: a re-export
 from .enkf import Ensemble
 from .exceptions import ConfigError, DataFormatError, InvalidInputError
 from .simgen import Replicate
@@ -55,22 +49,6 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _unique_keys(pairs: list) -> dict:
-    # json.loads would keep the last of a repeated key; a document holds each once
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is repeated")
-    return doc
-
-
-def read_json(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or nested too deep
-        raise ConfigError(f"{path}: invalid JSON ({err})") from err
-
-
 # ---------------------------------------------------------------- datasets
 
 def dataset_header(p: int, q: int, true_prob: bool = True, label: bool = True) -> list[str]:
@@ -84,12 +62,6 @@ def write_dataset_csv(path, rep: Replicate) -> None:
     header = dataset_header(rep.v_f.shape[1], rep.v_g.shape[1])
     write_rows_csv(path, {name: column for name, column in zip(header, columns, strict=True)
                           if column is not None})
-
-
-def _plain(text: str) -> bool:
-    # a text float() reads as finite, or int() reads, is of these bytes unless it holds
-    # a "_", a non-ASCII digit or padding whitespace, none of which a cell may hold
-    return text.isascii() and not text.encode().translate(None, b"0123456789.eE+-,")
 
 
 def read_dataset_csv(path) -> Replicate:
@@ -200,94 +172,12 @@ def _each_row(path, header: list[str], n_float: int, has_label: bool, lines: lis
             np.array(labels, dtype=np.int64) if has_label else None)
 
 
-# ----------------------------------------------------------- config schema
-
-_EXPECTED = {bool: "a boolean", int: "an integer", float: "a finite number",
-             str: "a string"}
-_SHOWN_DEPTH = 32  # a value inside more lists and objects is named, not quoted
-_SHOWN_CHARS = 80  # a longer quote is cut to this many characters, "..." last
-
-
-def to_dict(cfg) -> dict:
-    """JSON form of a config dataclass, one key per field."""
-    return {f.name: _to_json(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
-
-
-def _to_json(value):
-    if dataclasses.is_dataclass(value):
-        return to_dict(value)
-    return list(value) if isinstance(value, tuple) else value
-
-
-def from_dict(cls, doc, where: str = ""):
-    """Build config dataclass cls from its JSON form; missing keys take defaults.
-
-    Unknown keys, wrong JSON types (a bool is never a number, a count must
-    be an integer; an integer is accepted for a float) and values the
-    dataclass rejects raise a ConfigError naming section.field.
-    """
-    section = where or "config"
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{section}: expected an object, got {_shown(doc)}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - set(fields))
-    if unknown:
-        raise ConfigError(f"{section}: unknown keys {unknown}")
-    missing = [name for name, f in fields.items() if name not in doc
-               and f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ConfigError(f"{section}: missing keys {missing}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {name: _from_json(hints[name], value, f"{where}.{name}" if where else name)
-              for name, value in doc.items()}
-    try:
-        return cls(**kwargs)
-    except InvalidInputError as err:
-        raise ConfigError(f"{section}: {err}") from err
-
-
-def _shown(value) -> str:
-    """value's JSON text for a message, cut to _SHOWN_CHARS; its depth is
-    walked level by level, so the text does not depend on the caller's stack."""
-    level = [value]
-    for _ in range(_SHOWN_DEPTH + 1):
-        level = [child for item in level if isinstance(item, (list, dict))
-                 for child in (item.values() if isinstance(item, dict) else item)]
-        if not level:
-            text = json.dumps(value)
-            return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 3] + "..."
-    return f"a {type(value).__name__} nested too deeply to show"
-
-
-def _from_json(tp, value, where: str):
-    if dataclasses.is_dataclass(tp):
-        return from_dict(tp, value, where)
-    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
-        if value is None:
-            return None
-        (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        if not isinstance(value, list):
-            raise ConfigError(f"{where}: expected a list, got {_shown(value)}")
-        item = typing.get_args(tp)[0]
-        return tuple(_from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
-    if tp is float and type(value) is int:
-        try:
-            value = float(value)
-        except OverflowError:
-            pass
-    if type(value) is not tp or (tp is float and not math.isfinite(value)):
-        raise ConfigError(f"{where}: expected {_EXPECTED[tp]}, got {_shown(value)}")
-    return value
-
+# -------------------------------------------------------------- checkpoint
 
 def _config_hash(cfg_dict: dict) -> str:
     canon = json.dumps(cfg_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
-
-# -------------------------------------------------------------- checkpoint
 
 @dataclasses.dataclass(frozen=True)
 class _Header:

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arms import ArmSpec, StateLayout, forward_batch, param_count
+from .arms import StateLayout, forward_batch
+from .config import ArmSpec, TrainerOptions
 from .enkf import Ensemble, analysis
 from .exceptions import DimensionError, InvalidInputError, NumericError
 from .numerics import RngStream
 
-_VARIANCE_INITS = ("gaussian", "gamma_shape_scale")
 _GAMMA_SHAPE = 100.0
 _GAMMA_SCALE = 0.01
 _DRAW_BLOCK = 2 ** 15  # most normals drawn in one call into the active runs
@@ -63,35 +63,6 @@ def inv_softplus(y):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True, kw_only=True)
-class TrainerOptions:
-    """Trainer options that the run config and the checkpoint share,
-    declared and checked once; the defaults are the checkpoint's."""
-
-    ensemble_size: int = 216
-    init_var: float = 16.0
-    batch_size: int = 16
-    passes_over_data: int = 1
-    jitter_var: float = 0.0
-    variance_init: str = "gaussian"
-    shuffle_batches: bool = False
-
-    def __post_init__(self):
-        if self.ensemble_size < 2:
-            raise InvalidInputError(f"ensemble_size must be >= 2, got {self.ensemble_size}")
-        if self.init_var <= 0.0:
-            raise InvalidInputError(f"init_var must be > 0, got {self.init_var}")
-        if self.batch_size < 1:
-            raise InvalidInputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.passes_over_data < 1:
-            raise InvalidInputError(f"passes_over_data must be >= 1, got {self.passes_over_data}")
-        if self.jitter_var < 0.0:
-            raise InvalidInputError(f"jitter_var must be >= 0, got {self.jitter_var}")
-        if self.variance_init not in _VARIANCE_INITS:
-            raise InvalidInputError(
-                f"variance_init must be one of {_VARIANCE_INITS}, got {self.variance_init!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -279,10 +250,10 @@ def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
 def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, dict]:
     """Run the filter over one schedule of steps: pass p of
     cfg.passes_over_data visits every batch once, in order, or in the
-    permutation drawn from rng child 1.p when cfg.shuffle_batches, and
-    step t uses rng child 2 + t (child 0 initializes the ensemble). With
-    one batch and one pass this is exactly init_ensemble followed by a
-    single train_step. Every step updates one bare (N, d) array in place,
+    permutation drawn from rng child 1.p as the pass starts when
+    cfg.shuffle_batches, and step t uses rng child 2 + t (child 0
+    initializes the ensemble). With one batch and one pass this is
+    exactly init_ensemble followed by a single train_step. Every step updates one bare (N, d) array in place,
     so the members are checked as an Ensemble once, on return. Beside it a
     step holds (N, m) arrays, the arms' (N, m, width) layers and scratch
     blocks of a fixed size.
@@ -298,9 +269,9 @@ def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, dict]:
     if not batches:
         raise InvalidInputError("need at least one batch")
     n = len(batches)
-    schedule = [(p, b) for p in range(cfg.passes_over_data)
+    schedule = ((p, b) for p in range(cfg.passes_over_data)  # each pass's order as it starts
                 for b in (rng.child(1).child(p).generator().permutation(n).tolist()
-                          if cfg.shuffle_batches else range(n))]
+                          if cfg.shuffle_batches else range(n)))
     layout = cfg.layout()
     members = init_ensemble(cfg, layout, rng.child(0)).members
     rows = []

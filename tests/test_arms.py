@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from menkf import arms, config
 from menkf.arms import ArmSpec, StateLayout, forward_batch, param_count
 from menkf.exceptions import DimensionError, InvalidInputError
 
@@ -64,6 +65,10 @@ class TestArmSpecValidation:
 
     def test_hidden_dims_coerced_to_tuple(self):
         assert ArmSpec(3, [4, 2]).hidden_dims == (4, 2)
+
+    def test_every_accepted_activation_has_a_function(self):
+        # ArmSpec checks names from config, forward_batch runs arms' functions
+        assert set(arms._ACTIVATIONS) == set(config.ACTIVATIONS) == set(_ACTIVATIONS)
 
 
 class TestForward:

@@ -312,7 +312,37 @@ def loaded_after(args, *modules):
             f"print(status, sorted({modules!r} & set(sys.modules)))")
 
 
+def imported_by(args):
+    """The exit code of `python -m menkf.cli args` and the names of the
+    modules it imported, read off its -X importtime log."""
+    proc = python(["-X", "importtime", "-m", "menkf.cli", *args])
+    return proc.returncode, {line.rpartition("|")[2].strip()
+                             for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
 class TestImports:
+    @pytest.mark.parametrize("args, status", [
+        (["config", "print-defaults"], 0),
+        (["config", "print-defaults", "--study", "stacked_average"], 0),
+        (["--help"], 0),
+        (["train", "--config", "CONFIG"], 1),  # a usage error: no --dataset
+        (["train", "--config", "CONFIG", "--dataset", "none.csv"], 1),
+    ], ids=["defaults", "study", "help", "usage", "refused"])
+    def test_config_commands_and_refusals_load_no_numpy(self, tmp_path, args, status):
+        config = write_config(tmp_path, dict(TINY, sim={"m": 12, "bogus": 1}))  # unknown key
+        code, modules = imported_by([config if arg == "CONFIG" else arg for arg in args])
+        assert code == status
+        assert "menkf.config" in modules
+        assert not {name for name in modules if name.split(".")[0] == "numpy"}
+
+    def test_config_module_loads_no_numpy(self):
+        code = ("import sys\n"
+                "import menkf.config\n"
+                "print('numpy' in sys.modules,"
+                " sorted(m for m in sys.modules if m.startswith('menkf.')))")
+        assert run_python(code) == "False ['menkf.config', 'menkf.exceptions']"
+
     def test_cli_imports_numpy_only(self):
         # importing the CLI loads modules of no installed distribution but
         # numpy (and menkf, when installed)
@@ -657,7 +687,7 @@ class TestExitCodes:
         def no_constants(token):
             raise AssertionError(f"study.json holds the non-JSON token {token}")
 
-        monkeypatch.setattr("menkf.cli.fit", failing_fit)
+        monkeypatch.setattr("menkf.trainer.fit", failing_fit)
         code = main(["replicate-study", "--config", write_config(tmp_path),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2

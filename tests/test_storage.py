@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from menkf import storage
+from menkf import config, storage
 from menkf.arms import ArmSpec
 from menkf.cli import RunConfig, main
 from menkf.enkf import Ensemble
@@ -459,7 +459,7 @@ class TestConfigDict:
             from_dict(RunConfig, {"trainer": {"jitter_var": value}})
         head, _, shown = str(err.value).partition(", got ")
         assert head == "trainer.jitter_var: expected a finite number"
-        assert len(shown) == storage._SHOWN_CHARS and shown.endswith("...")
+        assert len(shown) == config._SHOWN_CHARS and shown.endswith("...")
         assert shown[:-3] == json.dumps(value)[:len(shown) - 3]
 
     def test_optional_float_accepts_null_and_integers(self):

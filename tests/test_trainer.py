@@ -13,7 +13,7 @@ from menkf.enkf import Ensemble, enkf_update
 from menkf.exceptions import DimensionError, InvalidInputError, NumericError
 from menkf.kalman import kf_forecast, kf_update
 from menkf.numerics import RngStream, vec
-from menkf.trainer import (_DRAW_BLOCK, Batch, MenkfConfig, _apply_fixed, _forecast,
+from menkf.trainer import (_DRAW_BLOCK, Batch, MenkfConfig, _apply_fixed, _forecast, _step,
                            arm_averaged_logits, build_vec_operator, fit,
                            init_ensemble, inv_softplus, linear_reference_system,
                            make_batches, measure, sigmoid, softplus, train_step)
@@ -570,6 +570,34 @@ class TestFit:
         _, trace = fit(batches, cfg, RngStream(2))
         assert len(trace["step"]) == 3 * passes
         assert built == [(20, cfg.layout().dim)] * 2
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_schedule_is_taken_pass_by_pass(self, monkeypatch, shuffle):
+        # each pass's batch order is taken as the pass starts, so a huge pass
+        # count costs nothing before the first step: a list of the whole
+        # schedule would hold 10**6 entries, about 90 MB, before step 0
+        class Stop(Exception):
+            pass
+
+        steps = []
+
+        def three_steps(*args):
+            if len(steps) == 3:
+                raise Stop
+            steps.append(args[-1])
+            return _step(*args)
+
+        monkeypatch.setattr("menkf.trainer._step", three_steps)
+        cfg = linear_config(passes_over_data=10**6, shuffle_batches=shuffle)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                fit([toy_batch()], cfg, RngStream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == [0, 0, 0]
+        assert peak < 2**20
 
     def test_empty_batch_list_rejected(self):
         with pytest.raises(InvalidInputError):
