@@ -64,7 +64,9 @@ def forward_batch(spec: ArmSpec, weights, v) -> np.ndarray:
     then work in place on that product, so neither v nor weights is ever
     written. v is taken C-ordered; weights need only each member's
     parameters contiguous, as in any column slice of a C-ordered member
-    matrix.
+    matrix, except for one input row, whose vector-matrix product sums
+    another way over strided weights: then each layer's block is copied
+    C-ordered.
     """
     v = _check_inputs(spec, v)
     weights = np.asarray(weights, dtype=float)
@@ -79,6 +81,8 @@ def forward_batch(spec: ArmSpec, weights, v) -> np.ndarray:
     layers = spec.layer_dims()
     for k, (fan_in, fan_out) in enumerate(layers):
         block = weights[:, offset:offset + fan_in * fan_out]
+        if len(v) == 1:
+            block = np.ascontiguousarray(block)
         offset += fan_in * fan_out
         # column-major per member: entry (i, j) sits at j * fan_in + i
         weight = block.reshape(n, fan_out, fan_in).transpose(0, 2, 1)

@@ -16,8 +16,10 @@ members are one (N, m) block from a single stream per step.
 
 analysis() is the one kernel: it takes the members and their predicted
 observations, so the trainer's nonlinear measurement and enkf_update's
-linear operator H both go through it. It shifts the members in place, a
-block of state columns at a time, so no temporary it makes grows with d.
+linear operator H both go through it. It shifts the members in place,
+SCRATCH_BLOCK state columns at a time, and uq walks test rows in blocks
+of the same size, so no members-wide temporary that grows with d or with
+the test rows holds more than N x SCRATCH_BLOCK x (widest arm layer) floats.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ import numpy as np
 from .exceptions import DimensionError, InvalidInputError
 from .numerics import RngStream, symmetrize
 
-_COLUMN_BLOCK = 128  # state columns per block of L and of the shift
+SCRATCH_BLOCK = 128  # state columns per block of L and the shift; uq's rows too
 
 
 @dataclass
@@ -84,7 +86,7 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     obs_var : per-member observation noise variance, length N, all > 0.
     rng : stream used for the perturbed observations (one block per call).
 
-    Shifts members in place, _COLUMN_BLOCK columns at a time, and returns
+    Shifts members in place, SCRATCH_BLOCK columns at a time, and returns
     it; an all-+0.0 column stays +0.0, as its row of L is exactly 0.
     Raises numpy.linalg.LinAlgError, members unchanged (no block is yet
     written), if M is not finite or its eigendecomposition fails.
@@ -118,8 +120,8 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     # (B, k) @ (k, N) sums each entry in one order at any BLAS thread count,
     # where (N, k) @ (k, d) did not; the add keeps members' own C order,
     # in which arms.forward_batch takes each member's row
-    for start in range(0, members.shape[1], _COLUMN_BLOCK):
-        cols = members[:, start:start + _COLUMN_BLOCK]
+    for start in range(0, members.shape[1], SCRATCH_BLOCK):
+        cols = members[:, start:start + SCRATCH_BLOCK]
         cross_b = (cols - cols.mean(axis=0)).T @ centered_pred / n
         shift_b = (cross_b @ basis) @ coeffs.T
         np.add(cols, shift_b.T, out=cols)

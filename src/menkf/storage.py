@@ -43,6 +43,11 @@ _VERSION = 1
 _PREFIX = struct.Struct("<8sIQ")  # magic, format version, header length
 _INT64 = np.iinfo(np.int64)
 _CHUNK_CHARS = 1 << 16  # readlines hint: the lines of one bulk-parsed chunk
+_BLANK = frozenset({"\n", "\r\n", "\r"})  # a line of its line end alone
+# each dataset cell's parse, check and name; every other cell is a finite float
+_CELL_RULES = {"true_prob": (float, lambda x: 0.0 <= x <= 1.0, "a finite number in [0, 1]"),
+               "label": (int, lambda x: _INT64.min <= x <= _INT64.max, "an int64 integer")}
+_FINITE = (float, math.isfinite, "a finite number")
 
 
 def write_json(path, obj) -> None:
@@ -104,7 +109,7 @@ def _read_rows(path, header: list[str], fh) -> Replicate:
 
     tables, labels, first_row = [], [], 2  # rows are 1-based, counting the header line
     while lines := fh.readlines(_CHUNK_CHARS):
-        table, chunk_labels = (_bulk_rows(lines, len(header), n_float, has_label)
+        table, chunk_labels = (_bulk_rows(lines, len(header), n_float, has_prob, has_label)
                                or _each_row(path, header, n_float, has_label, lines, first_row))
         tables.append(table)
         labels.append(chunk_labels)
@@ -121,13 +126,13 @@ def _read_rows(path, header: list[str], fh) -> Replicate:
                      true_prob=column(p + q + 1) if has_prob else None)
 
 
-def _bulk_rows(lines: list[str], n_cols: int, n_float: int, has_label: bool):
+def _bulk_rows(lines: list[str], n_cols: int, n_float: int, has_prob: bool, has_label: bool):
     """(table, labels) of a chunk of lines, parsed by np.loadtxt; None when
     _each_row would refuse the chunk. On _plain text loadtxt converts a
     cell as float() does, so a chunk read here reads bitwise as _each_row
     would read it, and every chunk _each_row reads is read here."""
-    if not _plain("".join(map(_unended, lines))):
-        return None
+    if not _BLANK.isdisjoint(lines) or not _plain("".join(map(_unended, lines))):
+        return None  # loadtxt would skip a blank line, or warn of a chunk of them
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         labels = (np.array([int(line.rpartition(",")[2]) for line in lines], dtype=np.int64)
@@ -135,7 +140,9 @@ def _bulk_rows(lines: list[str], n_cols: int, n_float: int, has_label: bool):
     except (ValueError, OverflowError):  # a malformed cell, or a label outside int64
         return None
     if table.shape != (len(lines), n_cols) or not np.isfinite(table[:, :n_float]).all():
-        return None  # a blank line, which loadtxt skips, or a nan or inf
+        return None  # a row of another width, or a nan or inf
+    if has_prob and (table[:, n_float - 1].min() < 0.0 or table[:, n_float - 1].max() > 1.0):
+        return None  # a true_prob outside [0, 1]
     return table, labels
 
 
@@ -145,16 +152,15 @@ def _each_row(path, header: list[str], n_float: int, has_label: bool, lines: lis
     fault raises a DataFormatError naming its row, first_row onwards, and
     its column. It runs only on a chunk _bulk_rows refused, to name the
     fault, and it is the reference the tests compare _bulk_rows against."""
-    def parse(row_num, row, col_idx, as_int=False):
+    def parse(row_num, row, col_idx):
         text = row[col_idx]
+        convert, ok, kind = _CELL_RULES.get(header[col_idx], _FINITE)
         try:
-            value = int(text) if as_int else float(text)
-            if _plain(text) and ((_INT64.min <= value <= _INT64.max) if as_int
-                                 else math.isfinite(value)):
+            value = convert(text)
+            if _plain(text) and ok(value):
                 return value
         except ValueError:
             pass
-        kind = "an int64 integer" if as_int else "a finite number"
         raise DataFormatError(f"{path}: row {row_num}, column {header[col_idx]!r}: "
                               f"{text!r} is not {kind}")
 
@@ -167,7 +173,7 @@ def _each_row(path, header: list[str], n_float: int, has_label: bool, lines: lis
                 f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
         values.extend(parse(row_num, row, c) for c in range(n_float))
         if has_label:
-            labels.append(parse(row_num, row, n_float, as_int=True))
+            labels.append(parse(row_num, row, n_float))
     return (np.frombuffer(values, dtype=float).reshape(-1, n_float),
             np.array(labels, dtype=np.int64) if has_label else None)
 

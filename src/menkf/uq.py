@@ -6,9 +6,9 @@ empirical 2.5% and 97.5% quantiles form the 95% interval. No extra
 observation noise is added at prediction time — the spread is parameter
 uncertainty only.
 
-The rows are evaluated in blocks of _BLOCK_ROWS, so no array of member
-values holds more than N * _BLOCK_ROWS floats however many rows there
-are; each row's mean and quantiles are the per-row rule bit for bit.
+Rows go through in blocks of enkf.SCRATCH_BLOCK, so no array of member
+values holds over N x SCRATCH_BLOCK x (widest arm layer) floats at any row
+count; each row's mean and quantiles are the per-row rule bit for bit.
 """
 
 import dataclasses
@@ -17,13 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arms import ArmSpec, StateLayout
-from .enkf import Ensemble
+from .enkf import SCRATCH_BLOCK, Ensemble
 from .exceptions import DimensionError, InvalidInputError, NumericError
 from .trainer import arm_averaged_logits, input_rows, sigmoid
-
-# rows per evaluation block; a power of two, so a block ends on the
-# alignment an unblocked pass would have there
-_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -54,45 +50,47 @@ def _sorted_quantile(by_row: np.ndarray, q: float) -> np.ndarray:
 
 
 def _block_intervals(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
-                     spec_g: ArmSpec, start: int):
-    """(draws, point, lo, hi) of one block of rows: the (N, rows) member
-    probabilities, and per row the member mean and the empirical 2.5% and
-    97.5% quantiles. A function of its own so that its temporaries are
-    freed before the next block is computed. A non-finite member logit is a
-    NumericError naming its row; start is the block's first row."""
+                     spec_g: ArmSpec, start: int, row_draws: list | None):
+    """interval_arrays of one block of rows, whose first row is start. A
+    function of its own so that its temporaries are freed before the next
+    block is computed. A non-finite member logit is a NumericError naming
+    its row."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        draws = arm_averaged_logits(e.members, v_f, v_g, layout, spec_f, spec_g)
-    finite = np.isfinite(draws).all(axis=0)
+        logits = arm_averaged_logits(e.members, v_f, v_g, layout, spec_f, spec_g)
+    finite = np.isfinite(logits).all(axis=0)
     if not finite.all():
         raise NumericError(f"model output is not finite at row {start + finite.argmin()}")
-    draws = sigmoid(draws)  # the logits are freed here
-    by_row = draws.T.copy()  # a C-ordered copy, which is sorted in place below
+    by_row = sigmoid(logits).T.copy()  # C-ordered rows, sorted in place below
     point = by_row.mean(axis=1)  # in member order, before the sort
+    if row_draws is not None:  # each row keeps its draws; the sort takes a copy
+        row_draws.extend(by_row)
+        by_row = by_row.copy()
     # the quantiles depend only on each row's order statistics; once the
     # contiguous rows are sorted, each bound reads two of their columns
     by_row.sort(axis=1)
-    return draws, point, _sorted_quantile(by_row, 0.025), _sorted_quantile(by_row, 0.975)
+    return point, _sorted_quantile(by_row, 0.025), _sorted_quantile(by_row, 0.975)
 
 
 def interval_arrays(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
-                    spec_g: ArmSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    spec_g: ArmSpec, *, row_draws=None) -> tuple[np.ndarray, ...]:
     """95% intervals of every input row, as arrays.
 
     Returns (point, lo, hi): per row the member mean and the empirical
-    2.5% and 97.5% quantiles of the member probabilities. The rows go
-    through in blocks of _BLOCK_ROWS, and each block's draws are freed
-    before the next block is computed, so memory beyond the outputs stays
-    bounded by N * _BLOCK_ROWS floats per array. Each value equals np.mean
-    and numerics.empirical_quantile of that row's draws bit for bit: the
-    mean reduces one contiguous row at a time, as the scalar rule does,
-    and the bounds apply np.quantile's linear rule to the sorted row.
+    2.5% and 97.5% quantiles of the member probabilities, whose (N,) rows
+    are appended to row_draws if it is a list. Each block of SCRATCH_BLOCK
+    rows frees its temporaries before the next is computed, so memory
+    beyond the outputs stays bounded by N x SCRATCH_BLOCK x (widest arm
+    layer) floats. Each value equals np.mean and numerics.empirical_quantile
+    of that row's draws bit for bit: the mean reduces one contiguous row at
+    a time, as the scalar rule does, and the bounds apply np.quantile's
+    linear rule to the sorted row.
     """
     n = input_rows(v_f, v_g)  # first, so that a short last block cannot broadcast
     point, lo, hi = np.empty(n), np.empty(n), np.empty(n)
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        point[rows], lo[rows], hi[rows] = _block_intervals(  # [1:] drops the draws
-            e, v_f[rows], v_g[rows], layout, spec_f, spec_g, start)[1:]
+    for start in range(0, n, SCRATCH_BLOCK):
+        rows = slice(start, start + SCRATCH_BLOCK)
+        point[rows], lo[rows], hi[rows] = _block_intervals(
+            e, v_f[rows], v_g[rows], layout, spec_f, spec_g, start, row_draws)
     return point, lo, hi
 
 
@@ -101,13 +99,10 @@ def predict(e: Ensemble, v_f, v_g, layout: StateLayout, spec_f: ArmSpec,
     """Per-row predictive summaries from the ensemble, one per input row;
     the point estimate is the member mean. Equal to interval_arrays bit
     for bit, and each summary keeps its row's draws."""
-    summaries = []
-    for start in range(0, input_rows(v_f, v_g), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        draws, *bounds = _block_intervals(e, v_f[rows], v_g[rows], layout, spec_f, spec_g, start)
-        summaries += [PredictionSummary(draws=draws[:, j].copy(), point=p, lo=l, hi=h)
-                      for j, (p, l, h) in enumerate(zip(*(b.tolist() for b in bounds)))]
-    return summaries
+    draws = []
+    bounds = interval_arrays(e, v_f, v_g, layout, spec_f, spec_g, row_draws=draws)
+    return [PredictionSummary(draws=d, point=p, lo=l, hi=h)
+            for d, p, l, h in zip(draws, *(b.tolist() for b in bounds))]
 
 
 def _bounds(summaries: list[PredictionSummary], *names: str) -> list[np.ndarray]:

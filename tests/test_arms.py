@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from menkf import arms, config
@@ -163,10 +163,11 @@ class TestForwardBatch:
                             ArmSpec(4, (6,), "tanh"), ArmSpec(9, (16,), "tanh"),
                             ArmSpec(2, (5, 3), "relu")]),
            st.integers(1, 12), st.integers(1, 24), st.integers(0, 4))
+    @example(0, ArmSpec(12, (), "identity"), 2, 1, 0)  # one row over an F-ordered stack
     @settings(max_examples=60, deadline=None)
     def test_bits_do_not_depend_on_memory_layout(self, seed, spec, n, rows, lead):
-        # any layout of v, and weights as a C copy, a column slice of a wider
-        # member matrix or of a row-strided view of one, give the oracle's bits
+        # any layout of v, and weights as a C copy, an F copy, a column slice of
+        # a wider member matrix or of a row-strided view of one, give the oracle's bits
         rng = np.random.default_rng(seed)
         cols = slice(lead, lead + param_count(spec))
         members = rng.standard_normal((2 * n, cols.stop + 3))
@@ -175,7 +176,7 @@ class TestForwardBatch:
         weights = np.ascontiguousarray(wide[:, cols])
         expected = np.array([forward(spec, w, v) for w in weights])
         inputs = (v, np.asfortranarray(v), np.repeat(v, 2, axis=1)[:, ::2])
-        stacks = (weights, wide[:, cols], members[::2, cols])
+        stacks = (weights, np.asfortranarray(weights), wide[:, cols], members[::2, cols])
         for v_any in inputs:
             for w_any in stacks:
                 np.testing.assert_array_equal(forward_batch(spec, w_any, v_any), expected)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import menkf
+from menkf import storage
 from menkf.arms import ArmSpec
 from menkf.cli import (_RNG_SPLIT, RunConfig, TrainerSettings, _aggregate_study, _replicates,
                        load_run_config, main, study_preset)
@@ -21,7 +22,7 @@ from menkf.numerics import RngStream
 from menkf.simgen import split
 from menkf.storage import (from_dict, load_checkpoint, read_dataset_csv, read_json, to_dict,
                            write_dataset_csv, write_rows_csv)
-from menkf.trainer import MenkfConfig, TrainerOptions
+from menkf.trainer import MenkfConfig, TrainerOptions, sigmoid
 from menkf.uq import STUDY_METRICS, AdequacyReport, predict
 
 from manifest_check import verify_manifest
@@ -36,6 +37,17 @@ TINY = {
 
 
 HUGE = int("9" * 400)
+
+
+def fitted(tmp_path):
+    """(config, replicate CSVs, checkpoint) of the tiny config: simulated, then
+    trained on its first replicate."""
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", config, "--output-dir", str(tmp_path / "sim")]) == 0
+    reps = sorted((tmp_path / "sim" / "replicates").iterdir())
+    assert main(["train", "--config", config, "--dataset", str(reps[0]),
+                 "--output-dir", str(tmp_path / "fit")]) == 0
+    return config, reps, tmp_path / "fit" / "checkpoint.menkf"
 
 
 def write_config(tmp_path, doc=None, name="config.json"):
@@ -586,6 +598,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "column 'label': '99999999999999999999' is not an int64 integer" in err
 
+    @pytest.mark.parametrize("cell", ["2.5", "-3", "1e308"])
+    def test_true_prob_outside_unit_interval(self, tmp_path, capsys, cell):
+        # coverage and MAE would be taken against it, or overflow at exit 2
+        config, reps, checkpoint = fitted(tmp_path)
+        data = self.replaced_cells(reps[1], tmp_path / "bad.csv", 1, {"true_prob": cell})
+        out = tmp_path / "out"
+        for args in (["train", "--config", config], ["evaluate", "--checkpoint", str(checkpoint)]):
+            capsys.readouterr()
+            assert main(args + ["--dataset", data, "--output-dir", str(out)]) == 1
+            assert capsys.readouterr().err == (f"menkf: {data}: row 3, column 'true_prob': "
+                                               f"{cell!r} is not a finite number in [0, 1]\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["trailing", "a later chunk"])
+    def test_blank_lines_are_one_refusal(self, tmp_path, capsys, where):
+        # a chunk of blank lines alone must not reach np.loadtxt, which warns of no data
+        doc = dict(TINY, sim={"m": 1200, "replicates": 1, "p": 2, "q": 2})
+        config = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path / "sim")]) == 0
+        with open(tmp_path / "sim" / "replicates" / "rep_000.csv", newline="\n") as fh:
+            header, first = fh.readline(), fh.readlines(storage._CHUNK_CHARS)
+            rest = fh.read()
+        assert rest  # the data go on past the first chunk
+        data = tmp_path / "blank.csv"
+        blank = "\n" * 2 * storage._CHUNK_CHARS  # at least one whole chunk
+        data.write_text(header + "".join(first) + ("\r\n" if where == "trailing" else blank + rest),
+                        newline="")
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--dataset", str(data),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"menkf: {data}: row {len(first) + 2} has 1 fields, "
+                                           f"expected 7\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_member_not_finite(self, tmp_path, capsys):
+        _, reps, checkpoint = fitted(tmp_path)
+        bad = tmp_path / "nan.menkf"
+        bad.write_bytes(checkpoint.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(reps[1]),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"menkf: {bad}: members must be finite\n"
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def replaced_cells(path, out, row, cells):
         """Write path's CSV to out with the named cells of data row row
@@ -779,6 +835,23 @@ class TestPipeline:
         intervals = (eval_dir / "intervals.csv").read_text().splitlines()
         assert len(intervals) == 13
 
+    def test_evaluate_without_true_prob_scores_sigmoid_of_target(self, tmp_path):
+        _, reps, checkpoint = fitted(tmp_path)
+        rep = read_dataset_csv(reps[1])
+        bare = tmp_path / "bare.csv"
+        write_dataset_csv(bare, dataclasses.replace(rep, true_prob=None, labels=None))
+        self.run(["evaluate", "--checkpoint", str(checkpoint), "--dataset", str(bare),
+                  "--output-dir", str(tmp_path / "ev")])
+
+        truth = sigmoid(rep.target_logits)
+        assert not np.array_equal(truth, rep.true_prob)
+        with open(tmp_path / "ev" / "intervals.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["true_prob"] for row in rows] == [repr(x) for x in truth.tolist()]
+        lo, hi = (np.array([float(row[key]) for row in rows]) for key in ("lo", "hi"))
+        report = read_json(tmp_path / "ev" / "report.json")
+        assert report["coverage"] == float(np.mean((lo <= truth) & (truth <= hi)))
+
     def test_intervals_equal_rows_from_predict(self, tmp_path):
         # evaluate's intervals.csv against predict on blocks parsed here, in any memory order
         doc = dict(TINY, sim={"m": 400, "replicates": 1, "p": 32, "q": 32})
@@ -810,7 +883,7 @@ class TestPipeline:
             assert (tmp_path / "ev" / "intervals.csv").read_bytes() == expected.read_bytes()
 
     def test_intervals_on_a_short_last_block(self, tmp_path):
-        # 1,025 rows: one full block and a one-row block, whose bits follow
+        # 1,025 rows: eight full blocks and a one-row block, whose bits follow
         # predict on that block alone; through tanh arms numpy's matmul sums
         # a one-row input another way than a row of a larger one
         doc = dict(TINY, sim={"m": 1025, "replicates": 1, "p": 32, "q": 32},

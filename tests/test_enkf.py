@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from menkf import enkf, numerics
-from menkf.enkf import (Ensemble, analysis, enkf_update, ensemble_moments,
+from menkf.enkf import (SCRATCH_BLOCK as BLOCK, Ensemble, analysis, enkf_update, ensemble_moments,
                         member_perturbations)
 from menkf.exceptions import DimensionError, InvalidInputError
 from menkf.kalman import GaussianBelief, LinearStateSpace, kf_update
@@ -197,7 +197,6 @@ class TestEnkfUpdate:
 
 
 MODERATE = st.floats(-1e3, 1e3)
-BLOCK = enkf._COLUMN_BLOCK
 
 
 @st.composite

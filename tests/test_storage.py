@@ -99,6 +99,7 @@ def per_cell_csv(rep: Replicate) -> bytes:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PROBABILITY = st.floats(-0.0, 1.0)  # both zeros and the subnormals included
 
 
 @st.composite
@@ -107,7 +108,8 @@ def replicates(draw):
     col = lambda k: hnp.arrays(float, (n, k) if k else n, elements=FINITE)
     return Replicate(v_f=draw(col(p)), v_g=draw(col(q)),
                      labels=draw(st.none() | hnp.arrays(np.int64, n)),
-                     target_logits=draw(col(0)), true_prob=draw(st.none() | col(0)))
+                     target_logits=draw(col(0)),
+                     true_prob=draw(st.none() | hnp.arrays(float, n, elements=PROBABILITY)))
 
 
 class TestDatasetCsvProperties:
@@ -235,6 +237,9 @@ class TestDatasetCsvErrors:
         if column == "label":
             kind = "an int64 integer"
             cells = ("x", "1.5", "9223372036854775808", "-9223372036854775809")
+        elif column == "true_prob":
+            kind = "a finite number in [0, 1]"
+            cells = ("x", "nan", "inf", "-1e999", "2.5", "-3", "1.0000000000000002", "-1e-300")
         else:
             kind, cells = "a finite number", ("x", "nan", "inf", "-1e999")
         for cell in cells:
@@ -294,7 +299,7 @@ INT64_LABELS = [-2**63 - 1, -2**63, 2**63 - 1, 2**63]
 @st.composite
 def chunked_csvs(draw):
     """The text of a dataset CSV of at least three reader chunks: one valid
-    line repeated, with a few lines replaced by drawn rows."""
+    line repeated, with a few lines replaced by drawn rows or blank lines."""
     p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     has_prob, has_label = draw(st.booleans()), draw(st.booleans())
     eol = draw(st.sampled_from(["\n", "\r\n"]))
@@ -303,10 +308,12 @@ def chunked_csvs(draw):
     label = st.sampled_from(INT64_LABELS).map(str) | st.integers(-3, 3).map(str) | cell
     row = st.tuples(st.lists(cell, min_size=n_float, max_size=n_float), label).map(
         lambda cells: ",".join(cells[0] + [cells[1]] * has_label))
-    filler = ",".join([repr(i + 1 / 3) for i in range(n_float)] + ["1"] * has_label)
+    filler = ",".join([repr(i + 1 / 3) for i in range(n_float - has_prob)]
+                      + [repr(1 / 3)] * has_prob + ["1"] * has_label)  # a valid true_prob
     n_rows = 3 * storage._CHUNK_CHARS // len(filler + eol) + 16
     lines = [",".join(dataset_header(p, q, has_prob, has_label))] + [filler] * n_rows
-    for at, text in draw(st.lists(st.tuples(st.integers(1, n_rows), row), max_size=6)):
+    blank = st.just("")  # a blank line, which the bulk parser must not hand to loadtxt
+    for at, text in draw(st.lists(st.tuples(st.integers(1, n_rows), row | blank), max_size=6)):
         lines[at] = text
     return eol.join(lines) + eol
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from menkf.arms import ArmSpec, StateLayout
-from menkf.enkf import Ensemble
+from menkf.enkf import SCRATCH_BLOCK, Ensemble
 from menkf.exceptions import DimensionError, InvalidInputError
 from menkf.numerics import RngStream, empirical_quantile
 from menkf.trainer import (MenkfConfig, arm_averaged_logits, fit, init_ensemble,
@@ -180,9 +180,21 @@ def random_arms(spec, rows, seed, members=40):
     return Ensemble(members), v_f, v_g, layout, spec, spec
 
 
+def interval_peak(spec, rows):
+    """tracemalloc peak of interval_arrays on random arms, 216 members."""
+    args = random_arms(spec, rows, seed=0, members=216)
+    tracemalloc.start()
+    try:
+        interval_arrays(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlocks:
-    # rows on both sides of one and two blocks, and a short last block
-    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049, 3000])
+    # rows on both sides of one and two blocks, and many blocks with a short last one
+    @pytest.mark.parametrize("rows", [SCRATCH_BLOCK - 1, SCRATCH_BLOCK, SCRATCH_BLOCK + 1,
+                                      2 * SCRATCH_BLOCK + 1, 1023, 1024, 1025, 2049, 3000])
     @pytest.mark.parametrize("spec", [ArmSpec(3, (), "identity"), ArmSpec(3, (4,), "tanh")],
                              ids=["affine", "tanh"])
     def test_blocks_keep_the_per_row_rule(self, rows, spec):
@@ -206,19 +218,20 @@ class TestBlocks:
     def test_memory_does_not_grow_with_rows(self):
         # at N = 216 one (N, rows) float table is 1.7 KB per row; blocks keep
         # the peak flat apart from the three (rows,) outputs
-        def peak(rows):
-            args = random_arms(ArmSpec(3, (), "identity"), rows, seed=0, members=216)
-            tracemalloc.start()
-            try:
-                interval_arrays(*args)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        peak = lambda rows: interval_peak(ArmSpec(3, (), "identity"), rows)
         peak(1024)  # the first call in a process makes one-time allocations
         assert peak(16384) - peak(4096) < 2**20
-        # one block's draws are freed before the next block's are drawn
-        assert peak(2048) - peak(1024) < 2**20
+        # one block's draws, N x SCRATCH_BLOCK floats, are freed before the next block's
+        assert peak(2 * SCRATCH_BLOCK) - peak(SCRATCH_BLOCK) < 216 * SCRATCH_BLOCK * 8 / 4
+
+    def test_hidden_arm_memory_is_bounded_by_the_block(self):
+        # the widest members-wide temporary is one block's hidden layer,
+        # N x SCRATCH_BLOCK x 16 floats; the peak holds little else at any row count
+        peak = lambda rows: interval_peak(ArmSpec(3, (16,), "tanh"), rows)
+        peak(SCRATCH_BLOCK)  # the first call in a process makes one-time allocations
+        small, large = peak(4096), peak(16384)
+        assert large - small < 2**20
+        assert small < 1.5 * 216 * SCRATCH_BLOCK * 16 * 8
 
 
 def summary(lo, hi, point=None):
