@@ -92,6 +92,7 @@ def _evaluate_ensemble(ensemble, mcfg: "trainer.MenkfConfig", data) -> tuple[dic
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+    made = [d for d in (out / "replicates", out, *out.parents) if not d.exists()]
     (out / "replicates").mkdir(parents=True, exist_ok=True)
     files = {}
     try:
@@ -99,9 +100,13 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             rel = f"replicates/rep_{j:03d}.csv"
             storage.write_dataset_csv(out / rel, rep)
             files[rel] = out / rel
-    except ConfigError:  # a replicate refused as it was drawn: the run leaves no dataset
+    except ConfigError:
+        # a replicate refused as it was drawn: the run leaves no dataset, nor a
+        # directory it made; one that was there before stays
         for path in files.values():
             path.unlink()
+        for directory in made:
+            directory.rmdir()
         raise
     storage.write_manifest(out / "manifest.json", cfg.seed, cfg.sim.scenario, files)
     print(f"wrote {cfg.sim.replicates} replicate datasets under {out}")
@@ -184,7 +189,6 @@ def cmd_replicate_study(cfg: RunConfig, out: Path, parallel: bool) -> int:
     if cfg.train_n + cfg.test_n > cfg.sim.m:
         raise ConfigError(f"split.train_n + split.test_n = {cfg.train_n} + {cfg.test_n} "
                           f"exceeds sim.m = {cfg.sim.m} rows per replicate")
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     jobs = ((j, rep, cfg) for j, rep in enumerate(_replicates(cfg)))
     if parallel and cfg.sim.replicates > 1:
@@ -205,6 +209,7 @@ def cmd_replicate_study(cfg: RunConfig, out: Path, parallel: bool) -> int:
     rows = [row for _, row, err in results if err is None]
     failures = {str(j): err for j, _, err in results if err is not None}
     aggregates = _aggregate_study(rows)
+    out.mkdir(parents=True, exist_ok=True)  # only once there is a study to write
     storage.write_json(out / "study.json",
                        {"config": to_dict(cfg), "aggregates": aggregates,
                         "failures": failures, "n_replicates": cfg.sim.replicates})

@@ -12,7 +12,7 @@ members and are assembled from centered products without ever forming
 the full d x d sample covariance. One eigendecomposition
 M = U diag(lam) U' then gives every member's solve at once,
 (M + v I)^-1 = U diag(1 / (lam + v)) U', and the perturbations of all
-members are one (N, m) block from a single stream per step.
+members are one (N, m) block, drawn onward from the caller's Generator.
 
 analysis() is the one kernel: it takes the members and their predicted
 observations, so the trainer's nonlinear measurement and enkf_update's
@@ -64,6 +64,11 @@ def ensemble_moments(e: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
+def _perturbations(gen: "np.random.Generator", n_members: int, obs_dim: int,
+                   obs_var: np.ndarray) -> np.ndarray:
+    return gen.standard_normal((n_members, obs_dim)) * np.sqrt(obs_var)[:, None]
+
+
 def member_perturbations(rng: RngStream, n_members: int, obs_dim: int,
                          obs_var: np.ndarray) -> np.ndarray:
     """Observation perturbations, one row per member.
@@ -71,11 +76,11 @@ def member_perturbations(rng: RngStream, n_members: int, obs_dim: int,
     One (n_members, obs_dim) standard normal block from the start of rng,
     with row i scaled to covariance obs_var[i] * I.
     """
-    return rng.generator().standard_normal((n_members, obs_dim)) * np.sqrt(obs_var)[:, None]
+    return _perturbations(rng.generator(), n_members, obs_dim, obs_var)
 
 
 def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
-             rng: RngStream) -> np.ndarray:
+             gen: "np.random.Generator") -> np.ndarray:
     """One stochastic EnKF analysis step from the members' own predictions.
 
     Parameters
@@ -84,7 +89,8 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     predicted : each member's predicted observations, shape (N, m).
     y : observation vector, length m.
     obs_var : per-member observation noise variance, length N, all > 0.
-    rng : stream used for the perturbed observations (one block per call).
+    gen : Generator that the perturbed observations are drawn onward
+        from, one (N, m) block per call.
 
     Shifts members in place, SCRATCH_BLOCK columns at a time, and returns
     it; an all-+0.0 column stays +0.0, as its row of L is exactly 0.
@@ -104,7 +110,7 @@ def analysis(members: np.ndarray, predicted: np.ndarray, y, obs_var,
     centered_pred = predicted - predicted.mean(axis=0)
     obs_block = centered_pred.T @ centered_pred / n  # eigh reads its lower triangle
 
-    perturbed = member_perturbations(rng, n, m, obs_var)
+    perturbed = _perturbations(gen, n, m, obs_var)
     residual = y[None, :] + perturbed - predicted
 
     if not np.all(np.isfinite(obs_block)):
@@ -136,4 +142,4 @@ def enkf_update(e: Ensemble, y, obs_matrix, obs_var, rng: RngStream) -> Ensemble
     h = np.asarray(obs_matrix, dtype=float)
     if h.ndim != 2 or h.shape[1] != e.dim:
         raise DimensionError(f"obs_matrix shape {h.shape} does not match state dim {e.dim}")
-    return Ensemble(analysis(e.members.copy(), e.members @ h.T, y, obs_var, rng))
+    return Ensemble(analysis(e.members.copy(), e.members @ h.T, y, obs_var, rng.generator()))

@@ -133,10 +133,12 @@ def _apply_fixed(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout) -> 
         members[:, layout.b_index] = inv_softplus(cfg.fixed_noise_var)
 
 
-def _add_normal(members: np.ndarray, layout: StateLayout, rng: RngStream, sd: float) -> None:
+def _add_normal(members: np.ndarray, layout: StateLayout, gen: "np.random.Generator",
+                sd: float) -> None:
     """Adds into the active runs of members, in place, the N(0, sd**2) draws
-    of one (N, |active|) normal call, made at most _DRAW_BLOCK floats at a time."""
-    gen, runs = rng.generator(), layout.active_runs()
+    of one (N, |active|) normal call onward from gen, made at most
+    _DRAW_BLOCK floats at a time."""
+    runs = layout.active_runs()
     widths = [run.stop - run.start for run in runs]
     rows = max(1, _DRAW_BLOCK // sum(widths))
     for start in range(0, members.shape[0], rows):
@@ -158,7 +160,7 @@ def init_ensemble(cfg: MenkfConfig, layout: StateLayout, rng: RngStream) -> Ense
         members = np.zeros((cfg.ensemble_size, layout.dim))
     except ValueError as err:  # numpy refuses a size past its index range at once
         raise MemoryError(err) from err
-    _add_normal(members, layout, rng.child(0), math.sqrt(cfg.init_var))
+    _add_normal(members, layout, rng.child(0).generator(), math.sqrt(cfg.init_var))
     if cfg.variance_init == "gamma_shape_scale":
         draws = rng.child(1).generator().gamma(_GAMMA_SHAPE, _GAMMA_SCALE,
                                                size=cfg.ensemble_size)
@@ -201,26 +203,34 @@ def measure(e: Ensemble, batch: Batch, layout: StateLayout,
 
 
 def _forecast(members: np.ndarray, cfg: MenkfConfig, layout: StateLayout,
-              rng: RngStream) -> np.ndarray:
-    """Jitters the active coordinates from rng a row block at a time and
-    pins a and b, all in place; returns members."""
+              gen: "np.random.Generator") -> np.ndarray:
+    """Jitters the active coordinates onward from gen a row block at a time
+    and pins a and b, all in place; returns members."""
     if cfg.jitter_var > 0.0:
-        _add_normal(members, layout, rng, math.sqrt(cfg.jitter_var))
+        _add_normal(members, layout, gen, math.sqrt(cfg.jitter_var))
     _apply_fixed(members, cfg, layout)
     return members
 
 
+def _step_generators(rng: RngStream) -> "tuple[np.random.Generator, np.random.Generator]":
+    """The steps' stream plan: child 0 jitters the members, child 1 perturbs
+    the observations; each step draws onward where the last one stopped."""
+    return rng.child(0).generator(), rng.child(1).generator()
+
+
 def _step(members: np.ndarray, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
-          rng: RngStream, batch_index: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """train_step on the bare (N, d) members, updated in place; also returns
-    the forecast members' (N, m) predicted logits that the analysis used."""
-    members = _forecast(members, cfg, layout, rng.child(0))
+          jitter_gen: "np.random.Generator", perturb_gen: "np.random.Generator",
+          batch_index: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """train_step on the bare (N, d) members, updated in place, drawing onward
+    from the two generators; also returns the forecast members' (N, m)
+    predicted logits that the analysis used."""
+    members = _forecast(members, cfg, layout, jitter_gen)
     predictions = arm_averaged_logits(members, batch.v_f, batch.v_g, layout,
                                       cfg.arm_f, cfg.arm_g)
     obs_var = softplus(members[:, layout.b_index])
     where = "" if batch_index is None else f" at batch {batch_index}"
     try:
-        updated = analysis(members, predictions, batch.y, obs_var, rng.child(1))
+        updated = analysis(members, predictions, batch.y, obs_var, perturb_gen)
     except np.linalg.LinAlgError as err:
         raise NumericError(
             f"observation covariance block failed to decompose{where}") from err
@@ -241,22 +251,26 @@ def train_step(e: Ensemble, batch: Batch, cfg: MenkfConfig, layout: StateLayout,
     the solve well-posed, so there is no fallback: a failed
     eigendecomposition is a NumericError naming the batch.
 
-    rng children: 0 drives the (optional) transition jitter, 1 drives the
-    observation perturbations, drawn as one (N, m) block.
+    The draws follow _step_generators(rng): child 0 drives the (optional)
+    transition jitter, child 1 the observation perturbations, drawn as one
+    (N, m) block; each is taken from the start of its stream.
     """
-    return Ensemble(_step(e.members.copy(), batch, cfg, layout, rng, batch_index)[0])
+    return Ensemble(_step(e.members.copy(), batch, cfg, layout, *_step_generators(rng),
+                          batch_index)[0])
 
 
 def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, dict]:
     """Run the filter over one schedule of steps: pass p of
     cfg.passes_over_data visits every batch once, in order, or in the
     permutation drawn from rng child 1.p as the pass starts when
-    cfg.shuffle_batches, and step t uses rng child 2 + t (child 0
-    initializes the ensemble). With one batch and one pass this is
-    exactly init_ensemble followed by a single train_step. Every step updates one bare (N, d) array in place,
-    so the members are checked as an Ensemble once, on return. Beside it a
-    step holds (N, m) arrays, the arms' (N, m, width) layers and scratch
-    blocks of a fixed size.
+    cfg.shuffle_batches. rng child 0 initializes the ensemble, and every
+    step draws onward from the two generators of _step_generators(rng
+    child 2), built once per fit: the jitter from child 2.0, the
+    perturbations from child 2.1. With one batch and one pass this is
+    exactly init_ensemble followed by train_step(rng child 2). Every step
+    updates one bare (N, d) array in place, so the members are checked as
+    an Ensemble once, on return. Beside it a step holds (N, m) arrays, the
+    arms' (N, m, width) layers and scratch blocks of a fixed size.
 
     The trace holds trace.csv's _TRACE_COLUMNS in order, one entry per
     step: step (t), pass_index, batch_index, weight_g and noise_var
@@ -274,13 +288,14 @@ def fit(batches, cfg: MenkfConfig, rng: RngStream) -> tuple[Ensemble, dict]:
                           if cfg.shuffle_batches else range(n)))
     layout = cfg.layout()
     members = init_ensemble(cfg, layout, rng.child(0)).members
+    jitter_gen, perturb_gen = _step_generators(rng.child(2))
     rows = []
     for step, (pass_index, batch_index) in enumerate(schedule):
         batch = batches[batch_index]
         try:
             with np.errstate(over="raise", invalid="raise"):
-                members, predictions = _step(members, batch, cfg, layout, rng.child(2 + step),
-                                             batch_index)
+                members, predictions = _step(members, batch, cfg, layout, jitter_gen,
+                                             perturb_gen, batch_index)
                 rows.append((step, pass_index, batch_index,
                              float(sigmoid(members[:, layout.a_index].mean())),
                              float(softplus(members[:, layout.b_index].mean())),

@@ -763,7 +763,7 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == ("menkf: replicate-study: a worker process ended abruptly; "
                         "no study written")
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sizes, named", [
         ({"train_n": 15, "test_n": 0}, "split: test_n"),
@@ -791,16 +791,21 @@ class TestExitCodes:
 
     def test_overflowing_surrogate_sd_is_refused_as_drawn(self, tmp_path, capsys):
         # at seed 0 replicate 0 draws finite target logits and replicate 1 does
-        # not, so simulate has written rep_000.csv when it refuses
-        doc = dict(TINY, sim=dict(TINY["sim"], surrogate_sd=1e308))
-        config = write_config(tmp_path, doc)
-        for command in ("simulate", "replicate-study"):
-            out = tmp_path / command
-            assert main([command, "--config", config, "--output-dir", str(out)]) == 1
-            (line,) = capsys.readouterr().err.splitlines()
-            assert line == ("menkf: surrogate_sd = 1e+308 draws target logits that are "
-                            "not finite in replicate 1")
-            assert not any(path.is_file() for path in out.rglob("*"))
+        # not, so simulate has written rep_000.csv when it refuses; at seed 1
+        # replicate 0 is refused before anything is written. Neither command
+        # leaves the output directory behind, nor removes one that was there
+        (tmp_path / "kept").mkdir()
+        for seed, refused in ((0, 1), (1, 0)):
+            doc = dict(TINY, seed=seed, sim=dict(TINY["sim"], surrogate_sd=1e308))
+            config = write_config(tmp_path, doc)
+            for command in ("simulate", "replicate-study"):
+                for out in (tmp_path / command / "out", tmp_path / "kept"):
+                    assert main([command, "--config", config, "--output-dir", str(out)]) == 1
+                    (line,) = capsys.readouterr().err.splitlines()
+                    assert line == ("menkf: surrogate_sd = 1e+308 draws target logits that "
+                                    f"are not finite in replicate {refused}")
+                assert not (tmp_path / command).exists()
+                assert list((tmp_path / "kept").iterdir()) == []
 
 
 class TestPipeline:

@@ -234,25 +234,41 @@ class TestAnalysis:
         members, obs = gen.standard_normal((40, d)), gen.standard_normal((6, d))
         predicted = np.tanh(members @ obs.T)  # a nonlinear measurement, m = 6 < N
         y, obs_var = gen.standard_normal(6), gen.uniform(0.5, 1.5, size=40)
+        # the kernel draws from the start of a fresh Generator of RngStream(7),
+        # the block member_perturbations(RngStream(7), ...) is
         expected = whole_array_analysis(members, predicted, y, obs_var, RngStream(7))
-        out = analysis(members, predicted, y, obs_var, RngStream(7))
+        out = analysis(members, predicted, y, obs_var, RngStream(7).generator())
         np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
+
+    def test_draws_onward_from_its_generator(self):
+        # a second call on one Generator perturbs with the block after the first
+        gen = np.random.default_rng(5)
+        members, predicted = gen.standard_normal((30, 4)), gen.standard_normal((30, 3))
+        y, obs_var = gen.standard_normal(3), gen.uniform(0.5, 1.5, size=30)
+        held = RngStream(7).generator()
+        first = analysis(members.copy(), predicted, y, obs_var, held)
+        second = analysis(members.copy(), predicted, y, obs_var, held)
+        skipped = RngStream(7).generator()
+        skipped.standard_normal((30, 3))
+        expected = analysis(members.copy(), predicted, y, obs_var, skipped)
+        assert second.tobytes() == expected.tobytes() != first.tobytes()
 
     @given(zero_column_cases())
     @settings(max_examples=300, deadline=None)
     def test_all_zero_columns_stay_positive_zero(self, case):
         # the trainer relies on this to leave the layout's structural zeros alone
         members, zero, predicted, y, obs_var, seed = case
-        out = analysis(members, predicted, y, obs_var, RngStream(seed))
+        out = analysis(members, predicted, y, obs_var, RngStream(seed).generator())
         assert not out[:, zero].view(np.int64).any()  # +0.0 bit for bit, sign included
 
     def test_shifts_members_in_place(self):
         # the kernel writes its first argument; enkf_update copies it first
+        # and hands it its stream's Generator
         gen = np.random.default_rng(3)
         members, obs = gen.standard_normal((20, 5)), gen.standard_normal((3, 5))
         y, obs_var = gen.standard_normal(3), gen.uniform(0.5, 1.5, size=20)
         expected = enkf_update(Ensemble(members), y, obs, obs_var, RngStream(4)).members
-        out = analysis(members, members @ obs.T, y, obs_var, RngStream(4))
+        out = analysis(members, members @ obs.T, y, obs_var, RngStream(4).generator())
         assert out is members and members.flags.c_contiguous
         assert members.tobytes() == expected.tobytes()
 

@@ -39,9 +39,10 @@ def train_step_explicit(e: Ensemble, batch: Batch, cfg: MenkfConfig,
     Each member is expanded to the vec of the full two-column state
     matrix, prediction rows included, and updated with the explicit
     operator kron([1, 1], [I_m, 0]). Matches train_step to floating-point
-    noise when given the same rng.
+    noise when given the same rng: the jitter comes from the start of rng
+    child 0 and the perturbations from the start of child 1.
     """
-    members = _forecast(e.members.copy(), cfg, layout, rng.child(0))
+    members = _forecast(e.members.copy(), cfg, layout, rng.child(0).generator())
     weight_g = sigmoid(members[:, layout.a_index])[:, None]
     out_f = (1.0 - weight_g) * forward_batch(cfg.arm_f, members[:, layout.wf_slice], batch.v_f)
     out_g = weight_g * forward_batch(cfg.arm_g, members[:, layout.wg_slice], batch.v_g)
@@ -312,7 +313,7 @@ class TestTrainStep:
         expected = members.copy()
         expected[:, active] += RngStream(4).generator().normal(
             0.0, math.sqrt(cfg.jitter_var), size=(20, active.size))
-        assert _forecast(members, cfg, layout, RngStream(4)) is members
+        assert _forecast(members, cfg, layout, RngStream(4).generator()) is members
         assert members.tobytes() == expected.tobytes()
 
     def test_blocked_draws_equal_one_block(self):
@@ -332,7 +333,7 @@ class TestTrainStep:
         assert members.tobytes() == expected.tobytes()
         expected[:, active] += RngStream(4).generator().normal(
             0.0, math.sqrt(cfg.jitter_var), size=(216, active.size))
-        assert _forecast(members, cfg, layout, RngStream(4)) is members
+        assert _forecast(members, cfg, layout, RngStream(4).generator()) is members
         assert members.tobytes() == expected.tobytes()
 
     def test_zero_spread_is_fixed_point(self):
@@ -422,25 +423,45 @@ class TestTrainStep:
             train_step(e, toy_batch(p=3, q=2), cfg, layout, RngStream(1))
 
 
+def held_generators(root):
+    """fit's step draws: the jitter and perturbation Generators of
+    root.child(2).child(0) and .child(1), built once and drawn onward."""
+    return root.child(2).child(0).generator(), root.child(2).child(1).generator()
+
+
+def replayed_fit(batches, order, cfg, root):
+    """fit spelled out: init_ensemble from root.child(0), then one _step per
+    entry of order, all on the two held_generators(root)."""
+    layout = cfg.layout()
+    members = init_ensemble(cfg, layout, root.child(0)).members
+    jitter_gen, perturb_gen = held_generators(root)
+    for b in order:
+        members = _step(members, batches[b], cfg, layout, jitter_gen, perturb_gen, b)[0]
+    return members
+
+
 def replayed_innovations(batches, cfg, root):
     """Each step's innovation recomputed outside fit from its forecast
-    members: the pre-update members plus the jitter drawn from
-    root.child(2 + t).child(0), with a and b pinned."""
+    members: the pre-update members plus the step's jitter, the next
+    (N, |active|) normals of the held jitter Generator, with a and b
+    pinned. The update runs on a second jitter Generator of the same
+    stream, which draws in step with the first."""
     layout = cfg.layout()
-    ens = init_ensemble(cfg, layout, root.child(0))
+    members = init_ensemble(cfg, layout, root.child(0)).members
+    jitter_gen, perturb_gen = held_generators(root)
+    replay_gen = root.child(2).child(0).generator()
+    active = layout.active_indices()
     norms = []
     for t, batch in enumerate(batches):
-        stream = root.child(2 + t)
-        members = ens.members.copy()
+        forecast = members.copy()
         if cfg.jitter_var > 0.0:
-            active = layout.active_indices()
-            members[:, active] += stream.child(0).generator().normal(
+            forecast[:, active] += replay_gen.normal(
                 0.0, math.sqrt(cfg.jitter_var), size=(cfg.ensemble_size, active.size))
-        _apply_fixed(members, cfg, layout)
-        predictions = arm_averaged_logits(members, batch.v_f, batch.v_g, layout,
+        _apply_fixed(forecast, cfg, layout)
+        predictions = arm_averaged_logits(forecast, batch.v_f, batch.v_g, layout,
                                           cfg.arm_f, cfg.arm_g)
         norms.append(float(np.linalg.norm(batch.y - predictions.mean(axis=0))))
-        ens = train_step(ens, batch, cfg, layout, stream)
+        members = _step(members, batch, cfg, layout, jitter_gen, perturb_gen, t)[0]
     return norms
 
 
@@ -482,11 +503,13 @@ class TestOneForwardPassPerStep:
         root = RngStream(19)
         _, trace = fit(batches, cfg, root)
         ens = init_ensemble(cfg, layout, root.child(0))
+        jitter_gen, perturb_gen = held_generators(root)
         expected = []
         for t, batch in enumerate(batches):
             pre_mean = measure(ens, batch, layout, cfg.arm_f, cfg.arm_g).mean(axis=0)
             expected.append(float(np.linalg.norm(batch.y - pre_mean)))
-            ens = train_step(ens, batch, cfg, layout, root.child(2 + t))
+            ens = Ensemble(_step(ens.members.copy(), batch, cfg, layout, jitter_gen,
+                                 perturb_gen, t)[0])
         assert trace["innovation_norm"] == expected
 
 
@@ -535,11 +558,10 @@ class TestFit:
 
     @pytest.mark.parametrize("pinned", [{}, PINNED], ids=["free", "pinned"])
     def test_schedule_stream_plan(self, pinned):
-        # pass p visits the batches in root.child(1).child(p)'s permutation
-        # and schedule step t runs train_step with root.child(2 + t)
+        # pass p visits the batches in root.child(1).child(p)'s permutation,
+        # and the steps, in that order, draw onward from the held generators
         cfg = linear_config(ensemble_size=20, passes_over_data=3, shuffle_batches=True,
                             jitter_var=0.01, **pinned)
-        layout = cfg.layout()
         gen = np.random.default_rng(8)
         batches = make_batches(gen.standard_normal((10, 2)), gen.standard_normal((10, 2)),
                                gen.standard_normal(10), 2)
@@ -549,10 +571,42 @@ class TestFit:
                                 for p in range(3)]).tolist()
         assert trace["batch_index"] == order
         assert trace["pass_index"] == [p for p in range(3) for _ in batches]
-        ens = init_ensemble(cfg, layout, root.child(0))
-        for t, b in enumerate(order):
-            ens = train_step(ens, batches[b], cfg, layout, root.child(2 + t))
-        assert got.members.tobytes() == ens.members.tobytes()
+        assert got.members.tobytes() == replayed_fit(batches, order, cfg, root).tobytes()
+
+    @pytest.mark.parametrize("arms", ARM_PAIRS.values(), ids=ARM_PAIRS.keys())
+    def test_fit_is_init_then_steps_on_two_held_generators(self, arms):
+        # two passes over three batches, jittered: six steps, each drawing its
+        # jitter and perturbations where the step before it stopped
+        cfg = MenkfConfig(arm_f=arms[0], arm_g=arms[1], ensemble_size=20, init_var=1.0,
+                          batch_size=4, passes_over_data=2, jitter_var=0.05,
+                          variance_init="gamma_shape_scale")
+        batches = [toy_batch(rows=4, seed=s) for s in range(3)]
+        root = RngStream(29)
+        got, _ = fit(batches, cfg, root)
+        assert got.members.tobytes() == replayed_fit(batches, [0, 1, 2] * 2, cfg, root).tobytes()
+
+    @pytest.mark.parametrize("few, many", [((1, 2), (5, 2)), ((1, 2), (1, 20))],
+                             ids=["passes", "batches"])
+    def test_generators_built_do_not_grow_with_steps(self, monkeypatch, few, many):
+        # one for the initial draw, one each for the jitter and the perturbations
+        built = []
+        generator = RngStream.generator
+
+        def counted(stream):
+            built.append(stream)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", counted)
+
+        def generators(passes, n_batches):
+            built.clear()
+            cfg = linear_config(ensemble_size=20, passes_over_data=passes, jitter_var=0.01)
+            _, trace = fit([toy_batch(rows=4, seed=s) for s in range(n_batches)], cfg,
+                           RngStream(2))
+            assert len(trace["step"]) == passes * n_batches
+            return len(built)
+
+        assert generators(*few) == generators(*many) == 3
 
     @pytest.mark.parametrize("passes", [1, 4])
     def test_members_checked_once(self, monkeypatch, passes):
