@@ -11,6 +11,10 @@ usage errors and refused run configs never load numpy.
 
 Exit codes: 0 success; 1 usage, configuration, or input-format
 errors; 2 runtime failures (numerical errors, I/O, out of memory).
+Every refusal comes before a command's first write, and the output
+directory is made at that write, so a refused run leaves nothing behind;
+nor does a failed fit or evaluation, which train and evaluate finish
+before they write. A failed write or an interrupt can leave partial output.
 
 Every output file is deterministic given the configuration: rerunning
 a command reproduces it byte for byte, with or without parallelism.
@@ -50,12 +54,6 @@ def _lazy(name: str):
     return module
 
 
-def _load(*modules) -> None:
-    """Runs each _lazy module now, if it has not run yet."""
-    for module in modules:
-        vars(module)  # any attribute access runs a lazy module
-
-
 # arms and enkf too: bench/trace_cli.py wraps functions only in the menkf
 # modules present right after `import menkf.cli`
 arms, enkf, numerics, simgen, storage, trainer, uq = map(
@@ -92,22 +90,12 @@ def _evaluate_ensemble(ensemble, mcfg: "trainer.MenkfConfig", data) -> tuple[dic
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    made = [d for d in (out / "replicates", out, *out.parents) if not d.exists()]
-    (out / "replicates").mkdir(parents=True, exist_ok=True)
     files = {}
-    try:
-        for j, rep in enumerate(_replicates(cfg)):  # each replicate is written as it is drawn
-            rel = f"replicates/rep_{j:03d}.csv"
-            storage.write_dataset_csv(out / rel, rep)
-            files[rel] = out / rel
-    except ConfigError:
-        # a replicate refused as it was drawn: the run leaves no dataset, nor a
-        # directory it made; one that was there before stays
-        for path in files.values():
-            path.unlink()
-        for directory in made:
-            directory.rmdir()
-        raise
+    for j, rep in enumerate(_replicates(cfg)):  # each replicate is written as it is drawn
+        rel = f"replicates/rep_{j:03d}.csv"
+        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        storage.write_dataset_csv(out / rel, rep)
+        files[rel] = out / rel
     storage.write_manifest(out / "manifest.json", cfg.seed, cfg.sim.scenario, files)
     print(f"wrote {cfg.sim.replicates} replicate datasets under {out}")
     return 0
@@ -115,11 +103,11 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 def cmd_train(cfg: RunConfig, dataset_path: str, out: Path) -> int:
     data = storage.read_dataset_csv(dataset_path)
-    out.mkdir(parents=True, exist_ok=True)  # only once the inputs are read and checked
     started = time.perf_counter()
     ensemble, trace, mcfg, n_batches = _fit(cfg, data,
                                             numerics.RngStream(cfg.seed).child(_RNG_TRAIN))
     elapsed = time.perf_counter() - started
+    out.mkdir(parents=True, exist_ok=True)
     storage.save_checkpoint(out / "checkpoint.menkf", ensemble, mcfg)
     storage.write_rows_csv(out / "trace.csv", trace)
     weight_g = trace["weight_g"][-1]
@@ -138,10 +126,10 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: Path) -> int:
         if found != spec.input_dim:
             raise DataFormatError(f"{dataset_path}: {block}* block has {found} columns, "
                                   f"the checkpoint expects {spec.input_dim}")
-    out.mkdir(parents=True, exist_ok=True)  # only once the inputs are read and checked
     started = time.perf_counter()
     report, (point, lo, hi, truth) = _evaluate_ensemble(ensemble, mcfg, data)
     elapsed = time.perf_counter() - started
+    out.mkdir(parents=True, exist_ok=True)
     storage.write_json(out / "report.json", report)
     storage.write_rows_csv(out / "intervals.csv", {"row": range(point.size), "point": point,
                                                    "lo": lo, "hi": hi, "width": hi - lo,
@@ -191,11 +179,10 @@ def cmd_replicate_study(cfg: RunConfig, out: Path, parallel: bool) -> int:
                           f"exceeds sim.m = {cfg.sim.m} rows per replicate")
     started = time.perf_counter()
     jobs = ((j, rep, cfg) for j, rep in enumerate(_replicates(cfg)))
-    if parallel and cfg.sim.replicates > 1:
+    workers = min(os.cpu_count() or 1, cfg.sim.replicates) if parallel else 1
+    if workers > 1:  # a pool of one worker could only be slower than running here
         import concurrent.futures  # only --parallel pays for it (and for logging)
         from concurrent.futures.process import BrokenProcessPool
-        _load(simgen, trainer, uq)  # once here, so that forked workers inherit them
-        workers = min(os.cpu_count() or 1, cfg.sim.replicates)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 results = list(_in_order(pool, jobs, 2 * workers))
@@ -209,7 +196,7 @@ def cmd_replicate_study(cfg: RunConfig, out: Path, parallel: bool) -> int:
     rows = [row for _, row, err in results if err is None]
     failures = {str(j): err for j, _, err in results if err is not None}
     aggregates = _aggregate_study(rows)
-    out.mkdir(parents=True, exist_ok=True)  # only once there is a study to write
+    out.mkdir(parents=True, exist_ok=True)
     storage.write_json(out / "study.json",
                        {"config": to_dict(cfg), "aggregates": aggregates,
                         "failures": failures, "n_replicates": cfg.sim.replicates})

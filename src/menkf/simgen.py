@@ -113,14 +113,21 @@ def _stacked_logits(v_g: np.ndarray, true_logits: np.ndarray) -> np.ndarray:
     return logit(averaged)
 
 
+def _targets(cfg: SimConfig, base_targets: np.ndarray, rep_rng: RngStream) -> np.ndarray:
+    """Replicate rep_rng's target logits: the base targets plus its surrogate noise."""
+    return base_targets + rep_rng.child(1).generator().normal(0.0, cfg.surrogate_sd, size=cfg.m)
+
+
 def gen_replicates(cfg: SimConfig, base: tuple[np.ndarray, np.ndarray, np.ndarray],
                    rng: RngStream) -> Iterator[Replicate]:
     """Yield the J replicate datasets around one base truth, one at a time.
 
     Replicate j depends only on rng.child(j), so replicates can be drawn
-    (or redrawn) independently and in any order. A replicate whose target
-    logits are not finite (surrogate_sd near the largest float) is a
-    ConfigError naming surrogate_sd, raised before it is yielded.
+    (or redrawn) independently and in any order. Before replicate 0 is
+    yielded, every replicate's target logits are drawn and checked: one
+    that is not finite (surrogate_sd near the largest float) is a
+    ConfigError naming surrogate_sd and the first such replicate, so a
+    caller that writes as it draws has written nothing when it is refused.
     """
     v_f, v_g, p_hat = base
     if v_f.shape != (cfg.m, cfg.p) or v_g.shape != (cfg.m, cfg.q):
@@ -132,17 +139,16 @@ def gen_replicates(cfg: SimConfig, base: tuple[np.ndarray, np.ndarray, np.ndarra
     else:
         base_targets = true_logits
         true_prob = p_hat
+    for j in range(cfg.replicates):
+        if not np.isfinite(_targets(cfg, base_targets, rng.child(j))).all():
+            raise ConfigError(f"surrogate_sd = {cfg.surrogate_sd!r} draws target logits "
+                              f"that are not finite in replicate {j}")
 
     for j in range(cfg.replicates):
         rep_rng = rng.child(j)
         eps = rep_rng.child(0).generator().normal(0.0, cfg.perturb_sd, size=cfg.m)
         perturbed = sigmoid(true_logits + eps)
         labels = (perturbed > cfg.threshold).astype(np.int64)
-        target_noise = rep_rng.child(1).generator().normal(0.0, cfg.surrogate_sd, size=cfg.m)
-        targets = base_targets + target_noise
-        if not np.isfinite(targets).all():
-            raise ConfigError(f"surrogate_sd = {cfg.surrogate_sd!r} draws target logits "
-                              f"that are not finite in replicate {j}")
         if cfg.scenario == "misspecified":
             mis_gen = rep_rng.child(2).generator()
             rep_v_f = _EMB_SD * mis_gen.standard_normal((cfg.m, cfg.p))
@@ -152,7 +158,7 @@ def gen_replicates(cfg: SimConfig, base: tuple[np.ndarray, np.ndarray, np.ndarra
             v_f=rep_v_f,
             v_g=v_g.copy(),
             labels=labels,
-            target_logits=targets,
+            target_logits=_targets(cfg, base_targets, rep_rng),
             true_prob=true_prob.copy(),
         )
 

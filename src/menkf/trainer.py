@@ -5,8 +5,8 @@ updates both arms' weights, the averaging logit a and an
 observation-noise parameter b with a stochastic ensemble Kalman filter
 over the flat augmented state [w_f | w_g | a | b]. b enters only the
 perturbation scale, so under the defaults softplus(b) stays near its
-prior mean of 1 (0.90–1.06 on well_specified at seed 0; the residual
-variance is 0.057–0.091):
+prior mean of 1 (0.86–1.05 on the well_specified preset's training rows
+at seed 0, where the residual variance is 0.054–0.088; README):
 
     prediction  = (1 - sigmoid(a)) * f(V_f, w_f) + sigmoid(a) * g(V_g, w_g)
     noise var   = softplus(b)

@@ -673,9 +673,10 @@ class TestExitCodes:
                                    tmp_path / "huge.csv", 0, {"target_logit": "1e300"})
         capsys.readouterr()
         assert main(["train", "--config", config, "--dataset", data,
-                     "--output-dir", str(tmp_path / "fit")]) == 2
+                     "--output-dir", str(tmp_path / "fit" / "deep")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("menkf: NumericError: filter step is not finite at batch 0 (")
+        assert not (tmp_path / "fit").exists()  # the fit fails before the first write
 
     def test_underflowed_noise_variance_names_its_batch(self, tmp_path, capsys):
         # jitter of sd 10**4 takes b below -745, where softplus(b) is exactly 0, which
@@ -701,22 +702,27 @@ class TestExitCodes:
                                    {"emb_f_0": "1e308", "emb_f_1": "1e308"})
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(tmp_path / "fit" / "checkpoint.menkf"),
-                     "--dataset", data, "--output-dir", str(tmp_path / "ev")]) == 2
+                     "--dataset", data, "--output-dir", str(tmp_path / "ev" / "deep")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line == "menkf: NumericError: model output is not finite at row 1"
-        assert list((tmp_path / "ev").iterdir()) == []
+        assert not (tmp_path / "ev").exists()  # the evaluation fails before the first write
 
     def test_out_of_memory_is_one_line(self, tmp_path, capsys):
-        # 71 PiB of members: numpy refuses at once, no machine allocates it
+        # 10**15 members (71 PiB) or rows (14 PiB): the allocation fails at once, as
+        # no address space holds it, and before the first write, so out/ is never made
         config = write_config(tmp_path)
         assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 0
-        doc = dict(TINY, trainer=dict(TINY["trainer"], ensemble_size=10**15))
-        capsys.readouterr()
-        assert main(["train", "--config", write_config(tmp_path, doc, "huge.json"),
-                     "--dataset", str(tmp_path / "replicates" / "rep_000.csv"),
-                     "--output-dir", str(tmp_path / "fit")]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("menkf: out of memory: Unable to allocate")
+        for args, section, key in (
+                (["train", "--dataset", str(tmp_path / "replicates" / "rep_000.csv")],
+                 "trainer", "ensemble_size"),
+                (["simulate"], "sim", "m")):
+            doc = dict(TINY, **{section: dict(TINY[section], **{key: 10**15})})
+            capsys.readouterr()
+            assert main(args + ["--config", write_config(tmp_path, doc, "huge.json"),
+                                "--output-dir", str(tmp_path / "out" / "deep")]) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("menkf: out of memory: Unable to allocate")
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("size", [10**18, 10**19])
     @pytest.mark.parametrize("section, key", [("trainer", "ensemble_size"), ("sim", "m"),
@@ -732,9 +738,10 @@ class TestExitCodes:
                 if section == "trainer" else ["simulate"])
         capsys.readouterr()
         assert main(args + ["--config", write_config(tmp_path, doc, "huge.json"),
-                            "--output-dir", str(tmp_path / "out")]) == 2
+                            "--output-dir", str(tmp_path / "out" / "deep")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("menkf: out of memory: ")
+        assert not (tmp_path / "out").exists()
 
     def test_study_with_failing_replicates(self, tmp_path, monkeypatch, capsys):
         def failing_fit(*args):
@@ -791,9 +798,9 @@ class TestExitCodes:
 
     def test_overflowing_surrogate_sd_is_refused_as_drawn(self, tmp_path, capsys):
         # at seed 0 replicate 0 draws finite target logits and replicate 1 does
-        # not, so simulate has written rep_000.csv when it refuses; at seed 1
-        # replicate 0 is refused before anything is written. Neither command
-        # leaves the output directory behind, nor removes one that was there
+        # not; at seed 1 replicate 0 does not. Either way the refusal comes before
+        # the first write, so neither command leaves the output directory behind,
+        # nor touches one that was there
         (tmp_path / "kept").mkdir()
         for seed, refused in ((0, 1), (1, 0)):
             doc = dict(TINY, seed=seed, sim=dict(TINY["sim"], surrogate_sd=1e308))
@@ -806,6 +813,17 @@ class TestExitCodes:
                                     f"are not finite in replicate {refused}")
                 assert not (tmp_path / command).exists()
                 assert list((tmp_path / "kept").iterdir()) == []
+
+    def test_overflowing_surrogate_sd_fits_no_replicate(self, tmp_path, monkeypatch, capsys):
+        # at seed 0 replicate 1 is refused, and the study refuses before it fits replicate 0
+        fits = []
+        real_fit = menkf.trainer.fit
+        monkeypatch.setattr("menkf.trainer.fit", lambda *args: fits.append(args) or real_fit(*args))
+        doc = dict(TINY, sim=dict(TINY["sim"], surrogate_sd=1e308))
+        assert main(["replicate-study", "--config", write_config(tmp_path, doc),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.endswith("not finite in replicate 1\n")
+        assert fits == []
 
 
 class TestPipeline:
@@ -994,6 +1012,22 @@ class TestPipeline:
                   "--parallel"])
         assert (seq / "study.json").read_bytes() == (par / "study.json").read_bytes()
         assert (seq / "study.csv").read_bytes() == (par / "study.csv").read_bytes()
+
+    def test_parallel_on_one_cpu_builds_no_pool(self, tmp_path, monkeypatch):
+        # a pool of one worker could only be slower than the study run in process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        config = write_config(tmp_path)
+        seq = tmp_path / "seq"
+        par = tmp_path / "par"
+        self.run(["replicate-study", "--config", config, "--output-dir", str(seq)])
+        self.run(["replicate-study", "--config", config, "--output-dir", str(par),
+                  "--parallel"])
+        for name in ("study.json", "study.csv"):
+            assert (seq / name).read_bytes() == (par / name).read_bytes()
 
     def test_parallel_study_memory_does_not_grow_with_replicates(self, tmp_path, monkeypatch):
         # the pool is handed at most 2 x workers jobs at a time, so at most four

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from menkf.exceptions import DimensionError, InvalidInputError
+from menkf.exceptions import ConfigError, DimensionError, InvalidInputError
 from menkf.numerics import RngStream
 from menkf.simgen import (SCENARIOS, Replicate, SimConfig, gen_base_probs,
                           gen_replicates, logit, split)
@@ -146,6 +146,17 @@ class TestReplicates:
         cfg, base, _ = self.make()
         with pytest.raises(DimensionError):
             list(gen_replicates(SimConfig(m=74, p=16), base, RngStream(2)))
+
+    @pytest.mark.parametrize("seed, refused", [(0, 1), (1, 0)])
+    def test_overflowing_surrogate_sd_is_refused_before_the_first_replicate(self, seed,
+                                                                             refused):
+        # tests/test_cli.py's TINY sim section: at seed 0 replicate 0 draws finite
+        # targets and replicate 1 does not; at seed 1 replicate 0 does not
+        cfg = SimConfig(m=12, replicates=2, p=2, q=2, surrogate_sd=1e308)
+        root = RngStream(seed)
+        reps = gen_replicates(cfg, gen_base_probs(cfg, root.child(0)), root.child(1))
+        with pytest.raises(ConfigError, match=f"not finite in replicate {refused}$"):
+            next(reps)
 
 
 class TestMisspecified:
