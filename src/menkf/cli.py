@@ -12,7 +12,8 @@ usage errors and refused run configs never load numpy.
 Exit codes: 0 success; 1 usage, configuration, or input-format
 errors; 2 runtime failures (numerical errors, I/O, out of memory).
 Every refusal comes before a command's first write, and the output
-directory is made at that write, so a refused run leaves nothing behind;
+directory is made at that write (storage's writers make the directory
+of the file they write), so a refused run leaves nothing behind;
 nor does a failed fit or evaluation, which train and evaluate finish
 before they write. A failed write or an interrupt can leave partial output.
 
@@ -93,7 +94,6 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     files = {}
     for j, rep in enumerate(_replicates(cfg)):  # each replicate is written as it is drawn
         rel = f"replicates/rep_{j:03d}.csv"
-        (out / rel).parent.mkdir(parents=True, exist_ok=True)
         storage.write_dataset_csv(out / rel, rep)
         files[rel] = out / rel
     storage.write_manifest(out / "manifest.json", cfg.seed, cfg.sim.scenario, files)
@@ -107,7 +107,6 @@ def cmd_train(cfg: RunConfig, dataset_path: str, out: Path) -> int:
     ensemble, trace, mcfg, n_batches = _fit(cfg, data,
                                             numerics.RngStream(cfg.seed).child(_RNG_TRAIN))
     elapsed = time.perf_counter() - started
-    out.mkdir(parents=True, exist_ok=True)
     storage.save_checkpoint(out / "checkpoint.menkf", ensemble, mcfg)
     storage.write_rows_csv(out / "trace.csv", trace)
     weight_g = trace["weight_g"][-1]
@@ -129,7 +128,6 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: Path) -> int:
     started = time.perf_counter()
     report, (point, lo, hi, truth) = _evaluate_ensemble(ensemble, mcfg, data)
     elapsed = time.perf_counter() - started
-    out.mkdir(parents=True, exist_ok=True)
     storage.write_json(out / "report.json", report)
     storage.write_rows_csv(out / "intervals.csv", {"row": range(point.size), "point": point,
                                                    "lo": lo, "hi": hi, "width": hi - lo,
@@ -196,7 +194,6 @@ def cmd_replicate_study(cfg: RunConfig, out: Path, parallel: bool) -> int:
     rows = [row for _, row, err in results if err is None]
     failures = {str(j): err for j, _, err in results if err is not None}
     aggregates = _aggregate_study(rows)
-    out.mkdir(parents=True, exist_ok=True)
     storage.write_json(out / "study.json",
                        {"config": to_dict(cfg), "aggregates": aggregates,
                         "failures": failures, "n_replicates": cfg.sim.replicates})

@@ -4,7 +4,9 @@ The JSON schema of the config dataclasses is config's to_dict / from_dict.
 Everything written here is deterministic for identical inputs — floats
 are serialized with repr (shortest round-trip), JSON keys are sorted,
 and no timestamps or absolute paths are embedded — so byte-for-byte
-comparison of outputs is a meaningful reproducibility check.
+comparison of outputs is a meaningful reproducibility check. Each
+writer makes the directory of the file it writes, with any parent, as it
+opens the file, so a caller makes none before its first write.
 
 Checkpoint binary layout (little-endian); the first three fields are the
 one struct _PREFIX, packed on save and unpacked on load:
@@ -50,8 +52,15 @@ _CELL_RULES = {"true_prob": (float, lambda x: 0.0 <= x <= 1.0, "a finite number 
 _FINITE = (float, math.isfinite, "a finite number")
 
 
+def _made(path) -> Path:
+    """path, its directory made: each writer here makes it at its first write."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _made(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------- datasets
@@ -214,7 +223,7 @@ def save_checkpoint(path, ensemble: Ensemble, cfg: MenkfConfig) -> None:
                      n_members=ensemble.size, dim=ensemble.dim, dtype="<f8")
     header_bytes = json.dumps(to_dict(header), sort_keys=True).encode()
     body = np.ascontiguousarray(ensemble.members, dtype="<f8")
-    with open(path, "wb") as fh:  # three writes: concatenating would copy the body
+    with open(_made(path), "wb") as fh:  # three writes: concatenating would copy the body
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header_bytes)))
         fh.write(header_bytes)
         fh.write(memoryview(body).cast("B"))  # the members' own bytes, not a copy
@@ -291,6 +300,6 @@ def write_rows_csv(path, columns: dict) -> None:
     repr of a number and no menkf column name needs quoting.
     """
     cells = [np.asarray(column).tolist() for column in columns.values()]
-    with open(path, "w", newline="") as fh:
+    with open(_made(path), "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*cells, strict=True))

@@ -763,7 +763,8 @@ class TestExitCodes:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="only a forked worker sees the patched module")
     def test_dead_study_worker_is_one_line(self, tmp_path, monkeypatch, capsys):
-        # as a worker the OOM killer ends
+        # as a worker the OOM killer ends; two CPUs, so that a pool runs the study
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr("menkf.cli.run_study_replicate", lambda *args: os._exit(3))
         assert main(["replicate-study", "--config", write_config(tmp_path),
                      "--output-dir", str(tmp_path / "out"), "--parallel"]) == 2
@@ -1003,7 +1004,8 @@ class TestPipeline:
                             "frac_wide,frac_contains_half")
         assert len(lines) == 3
 
-    def test_parallel_matches_sequential(self, tmp_path):
+    def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so that a pool runs the study
         config = write_config(tmp_path)
         seq = tmp_path / "seq"
         par = tmp_path / "par"
