@@ -4,9 +4,7 @@ The JSON schema of the config dataclasses is config's to_dict / from_dict.
 Everything written here is deterministic for identical inputs — floats
 are serialized with repr (shortest round-trip), JSON keys are sorted,
 and no timestamps or absolute paths are embedded — so byte-for-byte
-comparison of outputs is a meaningful reproducibility check. Each
-writer makes the directory of the file it writes, with any parent, as it
-opens the file, so a caller makes none before its first write.
+comparison of outputs is a meaningful reproducibility check.
 
 Checkpoint binary layout (little-endian); the first three fields are the
 one struct _PREFIX, packed on save and unpacked on load:
@@ -53,7 +51,8 @@ _FINITE = (float, math.isfinite, "a finite number")
 
 
 def _made(path) -> Path:
-    """path, its directory made: each writer here makes it at its first write."""
+    """path, its directory (with any parent) made: every writer here opens
+    its file through this, so a caller makes no directory before its first write."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
